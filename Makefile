@@ -4,9 +4,9 @@
 # exercised even when the main suite is filtered.
 GO ?= go
 
-.PHONY: check vet build test race bench bench-gate bench-cmp bench-figures runner-race obs-check obs-race pool-debug telemetry-race queue-race ckpt-race serve-smoke crash-smoke trace-demo profile profile-diff profile-base fuzz-smoke
+.PHONY: check vet build test race bench bench-cmp bench-figures runner-race obs-check obs-race pool-debug telemetry-race queue-race ckpt-race serve-smoke crash-smoke trace-demo profile profile-diff profile-base fuzz-smoke
 
-check: vet build race runner-race obs-check obs-race pool-debug telemetry-race queue-race ckpt-race serve-smoke crash-smoke fuzz-smoke profile-diff bench-gate
+check: vet build race runner-race obs-check obs-race pool-debug telemetry-race queue-race ckpt-race serve-smoke crash-smoke fuzz-smoke profile-diff
 
 vet:
 	$(GO) vet ./...
@@ -28,15 +28,12 @@ obs-check:
 	$(GO) test -race ./internal/harness/ -run 'TestObservability|TestObsConfig|TestServe' -count=1
 
 # obs-race drives the service-grade observability surface under the race
-# detector: job-lifecycle tracing + flight recorder + context logging
-# (internal/obs), the latency histograms and request-log middleware
-# (internal/telemetry), the instrumented queue/service end to end
-# (internal/jobqueue), and the harness's flight-recorder stall capture and
+# detector: the latency histograms and request-log middleware
+# (internal/telemetry), and the harness's flight-recorder stall capture and
 # bit-identity guarantees.
 obs-race:
 	$(GO) test -race -count=1 ./internal/telemetry/ \
 		-run 'TestHistogram|TestRequestLog|TestStatusWriter'
-	$(GO) test -race -count=1 ./internal/jobqueue/ -run 'TestServiceObservabilityEndToEnd'
 	$(GO) test -race -count=1 -short ./internal/harness/ \
 		-run 'TestObservabilityIsBitIdenticalWithFlight|TestFlightRecorder|TestSweepExecutor'
 
@@ -47,13 +44,15 @@ telemetry-race:
 	$(GO) vet ./internal/telemetry/...
 	$(GO) test -race ./internal/telemetry/... -count=1
 
-# queue-race runs the sweep-service packages — the durable job queue with
-# its WAL/lease/backoff machinery and the crash-consistent result store —
-# under the race detector: workers, reaper, heartbeats and checkpointing
-# all race against each other by design.
+# queue-race runs the sweep layer under the race detector: the
+# crash-consistent result store (concurrent puts and gets on one key), and
+# the harness sweeper's worker pool racing submissions, status reads,
+# graceful close and resume against each other.
 queue-race:
-	$(GO) vet ./internal/jobqueue/... ./internal/store/...
-	$(GO) test -race -count=1 ./internal/jobqueue/... ./internal/store/...
+	$(GO) vet ./internal/store/...
+	$(GO) test -race -count=1 ./internal/store/...
+	$(GO) test -race -count=1 ./internal/harness/ \
+		-run 'TestSweep|TestSubmit|TestValidateRejectsAtSubmission|TestIdenticalPointsShareStoredResult|TestGracefulCloseDrainsInFlight|TestFailedPointReportedNotRetried|TestTelemetryRoutesStillServe'
 
 # ckpt-race drives the warmup-checkpoint cache under the race detector:
 # eight concurrent policy/DRAM variants of one figure point restore from a
@@ -72,8 +71,8 @@ serve-smoke:
 	./scripts/serve_smoke.sh
 
 # crash-smoke SIGKILLs a running sweep service mid-sweep and verifies the
-# restarted process resumes from its journal: all jobs done, all results
-# served, clean SIGINT exit. The in-process counterpart lives in
+# restarted process resumes from its saved sweep spec and result store: all
+# points done, all results served, clean SIGINT exit. The in-process counterpart lives in
 # internal/harness/sweep_crash_test.go.
 crash-smoke:
 	./scripts/crash_smoke.sh
@@ -113,20 +112,6 @@ bench:
 		| $(GO) run ./cmd/benchjson -o BENCH_PR10.json \
 		-note "cache-conscious data layout: packed SoA tag stores, DAP per-access fast path, streaming checkpoints"
 
-# bench-gate enforces that the data-layout pass keeps its wins: the
-# recorded BENCH_PR10.json must not regress against the PR9 baseline by
-# more than benchcmp's 10% tolerance in ns/op, bytes/op or allocs/op.
-# Matching EndToEnd pulls the checkpoint-resume benchmark into the gate, so
-# the streaming encoder's bytes/op reduction is locked in alongside the
-# quick-run time. The sub-microsecond substrate benches were recorded in a
-# different session and track machine state (frequency scaling, co-tenant
-# load) more than code, so cross-session comparison of them gates on
-# noise. Re-record the HEAD report with `make bench` after intentional
-# changes.
-bench-gate:
-	$(GO) run ./cmd/benchcmp -match 'EndToEnd|Replicate' \
-		BENCH_PR9.json BENCH_PR10.json
-
 bench-figures:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
@@ -137,12 +122,13 @@ bench-figures:
 bench-cmp:
 	$(GO) run ./cmd/benchcmp $(BASE) $(HEAD)
 
-# fuzz-smoke runs the checkpoint-envelope fuzzer for 10 seconds: corrupt,
-# truncated and bit-flipped envelopes must always be rejected with an
-# ErrCorrupt-wrapping error — never a panic — and the corpus grows in
-# internal/ckpt/testdata between runs.
+# fuzz-smoke runs each envelope fuzzer for 10 seconds — the checkpoint
+# envelope, and the store envelope that guards result entries and saved
+# sweep specs: corrupt, truncated and bit-flipped envelopes must always be
+# rejected with an ErrCorrupt-wrapping error, never a panic.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecEnvelope -fuzztime 10s ./internal/ckpt/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeEnvelope -fuzztime 10s ./internal/store/
 
 # profile captures CPU and allocation profiles of the end-to-end quick run
 # and prints the top-10 allocation sites — the view that drove (and guards)

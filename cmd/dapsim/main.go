@@ -60,7 +60,7 @@ func main() {
 		cpuProfile   = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProfile   = flag.String("memprofile", "", "write a pprof heap profile (after the run) to this file")
 		serveAddr    = flag.String("serve", "", "serve live telemetry (/metrics, /runs, dashboard) on this address (e.g. :8080, :0 = any free port); keeps serving after the run until interrupted")
-		sweepDir     = flag.String("sweep-dir", "", "run as a durable sweep service: job queue + result store under this directory, API on the -serve address (requires -serve)")
+		sweepDir     = flag.String("sweep-dir", "", "run as a sweep service: saved sweep specs + result store under this directory, API on the -serve address (requires -serve)")
 		sweepWorkers = flag.Int("sweep-workers", 0, "sweep service worker count (0 = GOMAXPROCS)")
 		logLevel     = flag.String("log-level", "info", "structured log level: debug | info | warn | error")
 		logFormat    = flag.String("log-format", "text", "structured log format: text | json")
@@ -246,13 +246,12 @@ func main() {
 	}
 }
 
-// runSweepService runs dapsim as the durable sweep service until
-// interrupted: telemetry + sweep API on addr, queue and result store under
-// dir. Shutdown drains in-flight jobs, checkpoints the queue and exits 0;
-// a SIGKILLed process instead resumes from its journal on the next start.
+// runSweepService runs dapsim as the sweep service until interrupted:
+// telemetry + sweep API on addr, sweep specs and result store under dir.
+// Shutdown lets running points finish and exits 0; any process, drained or
+// SIGKILLed, resumes on the next start by running the keys not yet stored.
 func runSweepService(addr, dir string, workers int, logger *slog.Logger) {
-	srv, svc, bound, err := dap.ServeSweepsObserved(addr, dir,
-		dap.SweepServeOptions{Workers: workers, Logger: logger})
+	srv, svc, bound, err := dap.ServeSweeps(addr, dir, workers, logger)
 	fatalIf(err)
 	fmt.Printf("sweep service: serving on http://%s (state in %s)\n", bound, dir)
 
@@ -260,7 +259,7 @@ func runSweepService(addr, dir string, workers int, logger *slog.Logger) {
 	<-ctx.Done()
 	stop()
 
-	fmt.Println("sweep service: draining in-flight jobs")
+	fmt.Println("sweep service: draining running points")
 	dctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := svc.Close(dctx); err != nil {

@@ -7,7 +7,7 @@
 // the related policies it is compared against (SBD, SBD-WT, BATMAN, BEAR).
 //
 // The package exposes a small facade over the internal packages: build a
-// Config, pick a Workload, and Run it. The experiment drivers that
+// Config, pick a Workload, and RunE it. The experiment drivers that
 // regenerate every table and figure of the paper live behind RunFigure; the
 // analytical bandwidth model of Section III is exposed directly.
 //
@@ -15,11 +15,15 @@
 //
 //	cfg := dap.DefaultConfig()
 //	cfg.Policy = dap.PolicyDAP
-//	res := dap.Run(cfg, dap.RateWorkload("mcf", 8))
+//	mix, err := dap.WorkloadByNameE("mcf", 8)
+//	if err != nil { ... }
+//	res, err := dap.RunE(cfg, mix)
+//	if err != nil { ... }
 //	fmt.Println(res.IPC(), res.MainMemCASFraction())
 package dap
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"log/slog"
@@ -29,7 +33,6 @@ import (
 	"dap/internal/core"
 	"dap/internal/faultinject"
 	"dap/internal/harness"
-	"dap/internal/jobqueue"
 	"dap/internal/obs"
 	"dap/internal/sim"
 	"dap/internal/stats"
@@ -104,16 +107,6 @@ func WorkloadByNameE(name string, cores int) (Workload, error) {
 	return workload.RateMix(spec, cores), nil
 }
 
-// RateWorkload is WorkloadByNameE for callers that prefer a panic on an
-// unknown name (e.g. package-level test fixtures).
-func RateWorkload(name string, cores int) Workload {
-	w, err := WorkloadByNameE(name, cores)
-	if err != nil {
-		panic(err.Error())
-	}
-	return w
-}
-
 // WorkloadNames lists the 17 synthetic application snippets.
 func WorkloadNames() []string { return workload.Names() }
 
@@ -170,16 +163,6 @@ func EffectiveDAPWindow(cfg Config) uint64 {
 // violation — returns the partial Result together with its Abort error.
 func RunE(cfg Config, w Workload) (Result, error) { return harness.RunMixE(cfg, w) }
 
-// Run is RunE for callers that prefer a panic over error plumbing; the panic
-// message carries the same structured diagnostics.
-func Run(cfg Config, w Workload) Result {
-	r, err := RunE(cfg, w)
-	if err != nil {
-		panic("dap: " + err.Error())
-	}
-	return r
-}
-
 // RunSeededE is RunE with a run-level workload stream seed (0 behaves like
 // RunE) — replicated measurements under different address streams.
 func RunSeededE(cfg Config, w Workload, seed uint64) (Result, error) {
@@ -226,15 +209,6 @@ func AloneIPCE(cfg Config, name string) (float64, error) {
 			name, strings.Join(workload.Names(), ", "))
 	}
 	return harness.AloneIPC(cfg, spec), nil
-}
-
-// AloneIPC is AloneIPCE with a panic on an unknown name.
-func AloneIPC(cfg Config, name string) float64 {
-	v, err := AloneIPCE(cfg, name)
-	if err != nil {
-		panic(err.Error())
-	}
-	return v
 }
 
 // Replicate runs a workload over n address-stream seeds — fanning the
@@ -352,90 +326,52 @@ func ParseArchitecture(name string) (Architecture, error) { return harness.Parse
 // "sbd", "sbd-wt", "batman") to its enum.
 func ParsePolicyName(name string) (Policy, error) { return harness.ParsePolicy(name) }
 
-// SweepService is the durable sweep execution service behind
-// `dapsim -serve -sweep-dir`: a crash-safe job queue (WAL + checkpoints)
-// feeding a worker pool, with leases, retry-with-backoff, a dead-letter
-// list and a crash-consistent result store keyed by configuration
-// fingerprint. See ServeSweeps.
-type SweepService = jobqueue.Service
+// SweepService is the sweep layer behind `dapsim -serve -sweep-dir`: each
+// submitted sweep is saved once and expands to a list of figure-point
+// keys, a fixed worker pool runs every key the result store does not hold,
+// and the store entry is the only completion record. See ServeSweeps.
+type SweepService = harness.Sweeper
 
 // SweepSpec is the client-facing sweep request: the cross product of
 // mixes × archs × policies × seeds (POST /jobs).
-type SweepSpec = jobqueue.SweepSpec
+type SweepSpec = harness.SweepSpec
 
-// ServeSweeps starts the telemetry server on addr with the sweep service
-// mounted on it (POST/GET/DELETE /jobs, /jobs/{id}/results, /deadletters).
-// State lives under dir ("queue/" and "results/"): a process killed at any
-// point reopens the same dir, replays its journal and resumes the sweep —
-// completed jobs are served from the result store, not re-simulated. Stop
+// ServeSweeps starts the telemetry server on addr with the sweep API
+// mounted on it (POST/GET /jobs, GET /jobs/{id}, GET /jobs/{id}/results).
+// State lives under dir ("sweeps/", "results/" and the shared warmup
+// checkpoints in "ckpt/"): a process killed at any point reopens the same
+// dir and runs the keys of every saved sweep that are not stored yet —
+// stored results are never simulated again. workers ≤ 0 means GOMAXPROCS.
+// logger receives the sweep, point and HTTP request records, each point
+// record stamped with its store key as "corr"; nil serves silently. Stop
 // with svc.Close then srv.Shutdown.
-func ServeSweeps(addr, dir string, workers int) (*TelemetryServer, *SweepService, string, error) {
-	return ServeSweepsObserved(addr, dir, SweepServeOptions{Workers: workers})
-}
-
-// SweepServeOptions parameterizes ServeSweepsObserved beyond the state
-// directory: worker count, structured logging, job-lifecycle trace capacity
-// and where stalled jobs' flight-recorder dumps land.
-type SweepServeOptions struct {
-	// Workers is the concurrent executor count (0 = GOMAXPROCS).
-	Workers int
-	// Logger receives every job state transition, simulation lifecycle
-	// record and HTTP request, each stamped with the job's correlation ID
-	// where one applies. nil serves silently.
-	Logger *slog.Logger
-	// JobTraceCap bounds the in-memory job-lifecycle trace served at /trace
-	// (0 = 65536 events).
-	JobTraceCap int
-	// FlightDir is where aborted jobs' flight-recorder dumps are persisted
-	// and served from at /jobs/{id}/flight ("" = <dir>/flight).
-	FlightDir string
-}
-
-// ServeSweepsObserved is ServeSweeps with service-grade observability: a
-// structured logger threading one correlation ID per job from submission
-// through execution to acknowledgment, a bounded job-lifecycle Chrome trace
-// at GET /trace (open in Perfetto), and stalled jobs' flight-recorder dumps
-// persisted under FlightDir and served at GET /jobs/{id}/flight.
-func ServeSweepsObserved(addr, dir string, opts SweepServeOptions) (*TelemetryServer, *SweepService, string, error) {
-	qcfg := harness.SweepQueueConfig(filepath.Join(dir, "queue"))
-	qcfg.Logger = opts.Logger
-	qcfg.Tracer = obs.NewJobTracer(opts.JobTraceCap)
-	q, err := jobqueue.Open(qcfg)
-	if err != nil {
-		return nil, nil, "", err
-	}
+func ServeSweeps(addr, dir string, workers int, logger *slog.Logger) (*TelemetryServer, *SweepService, string, error) {
 	st, err := store.Open(filepath.Join(dir, "results"))
 	if err != nil {
-		q.Close() //nolint:errcheck // surfacing the open error
 		return nil, nil, "", err
 	}
-	flightDir := opts.FlightDir
-	if flightDir == "" {
-		flightDir = filepath.Join(dir, "flight")
-	}
-	// Jobs resume from shared warmup checkpoints persisted next to the
-	// queue: policy variants of the same sweep point warm up once.
+	// Points resume from shared warmup checkpoints persisted next to the
+	// results: policy variants of the same sweep point warm up once.
 	ck, err := harness.NewCheckpoints(filepath.Join(dir, "ckpt"))
 	if err != nil {
-		q.Close() //nolint:errcheck // surfacing the open error
 		return nil, nil, "", err
 	}
-	svc := jobqueue.NewService(q, st, harness.SweepExecutorCkpt(ck), jobqueue.ServiceConfig{
-		Workers: opts.Workers, FlightDir: flightDir,
-	})
-	if _, _, err := svc.Reconcile(); err != nil {
-		q.Close() //nolint:errcheck // surfacing the reconcile error
+	svc, err := harness.OpenSweeper(filepath.Join(dir, "sweeps"), st,
+		harness.SweepExecutorCkpt(ck), workers, logger)
+	if err != nil {
 		return nil, nil, "", err
 	}
 	srv := telemetry.NewServer(telemetry.Default, telemetry.Runs)
-	srv.Logger = opts.Logger
-	jobqueue.NewAPI(svc).Attach(srv)
+	srv.Logger = logger
+	svc.Mount(srv)
 	bound, err := srv.Start(addr)
 	if err != nil {
-		q.Close() //nolint:errcheck // surfacing the start error
+		// Stop taking points; the running ones finish in the background.
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		svc.Close(ctx) //nolint:errcheck // surfacing the start error
 		return nil, nil, "", err
 	}
-	svc.Start()
 	return srv, svc, bound, nil
 }
 

@@ -10,20 +10,17 @@ import (
 
 func TestPublicAPIQuickRun(t *testing.T) {
 	cfg := dap.QuickConfig()
-	mix := dap.RateWorkload("gcc.expr", cfg.CPU.Cores)
-	r := dap.Run(cfg, mix)
+	mix, err := dap.WorkloadByNameE("gcc.expr", cfg.CPU.Cores)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := dap.RunE(cfg, mix)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.Cycles == 0 || len(r.Cores) != cfg.CPU.Cores {
 		t.Fatalf("bad result: cycles=%d cores=%d", r.Cycles, len(r.Cores))
 	}
-}
-
-func TestPublicAPIUnknownWorkloadPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unknown workload must panic")
-		}
-	}()
-	dap.RateWorkload("not-a-benchmark", 8)
 }
 
 func TestPublicAPIUnknownWorkloadError(t *testing.T) {
@@ -78,13 +75,13 @@ func TestPublicAPICustomSpec(t *testing.T) {
 	cfg := dap.QuickConfig()
 	cfg.MeasureInstr = 100_000
 	cfg.WarmAccesses = 30_000
-	r := dap.Run(cfg, dap.CustomRate(spec, cfg.CPU.Cores))
-	if r.Cycles == 0 {
-		t.Fatal("custom workload failed to run")
+	r, err := dap.RunE(cfg, dap.CustomRate(spec, cfg.CPU.Cores))
+	if err != nil || r.Cycles == 0 {
+		t.Fatalf("custom workload failed to run: %v", err)
 	}
 	mix := dap.CustomMix("pair", []dap.Spec{spec, spec, spec, spec, spec, spec, spec, spec})
-	if r := dap.Run(cfg, mix); r.Cycles == 0 {
-		t.Fatal("custom mix failed to run")
+	if r, err := dap.RunE(cfg, mix); err != nil || r.Cycles == 0 {
+		t.Fatalf("custom mix failed to run: %v", err)
 	}
 }
 
@@ -107,7 +104,10 @@ func TestPublicAPIAloneIPC(t *testing.T) {
 	cfg := dap.QuickConfig()
 	cfg.MeasureInstr = 100_000
 	cfg.WarmAccesses = 50_000
-	v := dap.AloneIPC(cfg, "parboil-histo")
+	v, err := dap.AloneIPCE(cfg, "parboil-histo")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if v <= 0 || v > 4.05 {
 		t.Fatalf("alone IPC = %v", v)
 	}

@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"dap"
 )
@@ -49,9 +50,15 @@ func main() {
 		cfg := dap.QuickConfig()
 		cfg.Arch = ar.a
 		mix := dap.CustomRate(kv, cfg.CPU.Cores)
-		base := dap.Run(cfg, mix)
+		base, err := dap.RunE(cfg, mix)
+		if err != nil {
+			log.Fatal(err)
+		}
 		cfg.Policy = dap.PolicyDAP
-		d := dap.Run(cfg, mix)
+		d, err := dap.RunE(cfg, mix)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("%-16s %10.3f %10.3f %7.1f%% %10.3f %10.3f\n",
 			ar.name, ipc(base), ipc(d), (ipc(d)/ipc(base)-1)*100,
 			base.MemSide.HitRatio(), d.MainMemCASFraction())

@@ -6,6 +6,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"dap"
 )
@@ -50,7 +51,10 @@ func main() {
 	for _, pc := range policies {
 		c := cfg
 		c.Policy = pc.p
-		r := dap.Run(c, mix)
+		r, err := dap.RunE(c, mix)
+		if err != nil {
+			log.Fatal(err)
+		}
 		v := ipc(r)
 		if pc.p == dap.PolicyBaseline {
 			baseIPC = v

@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"dap"
 )
@@ -14,12 +15,21 @@ import (
 func main() {
 	const name = "libquantum"
 	cfg := dap.QuickConfig() // shortened runs; use DefaultConfig for full length
-	mix := dap.RateWorkload(name, cfg.CPU.Cores)
+	mix, err := dap.WorkloadByNameE(name, cfg.CPU.Cores)
+	if err != nil {
+		log.Fatal(err)
+	}
 
-	base := dap.Run(cfg, mix)
+	base, err := dap.RunE(cfg, mix)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	cfg.Policy = dap.PolicyDAP
-	withDAP := dap.Run(cfg, mix)
+	withDAP, err := dap.RunE(cfg, mix)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	ipc := func(r dap.Result) float64 {
 		s := 0.0

@@ -3,7 +3,8 @@
 // DRAM responses wedge MSHRs (the forward-progress watchdog must trip),
 // delayed metadata fetches stretch the tag path (the run must still
 // complete, just slower), and corrupted DAP credit updates violate the
-// credit invariants (the runtime auditor must report them).
+// credit invariants (the runtime auditor must report them). TruncateTail
+// and FlipByte tear and corrupt files for the persistence layer's tests.
 //
 // Every decision is a pure function of the plan and per-kind arrival
 // counters — the seed only phase-shifts which arrivals are hit — so a
@@ -12,6 +13,7 @@ package faultinject
 
 import (
 	"fmt"
+	"os"
 
 	"dap/internal/dram"
 	"dap/internal/mem"
@@ -127,4 +129,39 @@ func (i *Injector) ArmCreditFault(schedule func(delay mem.Cycle, fn func()), tar
 func (i *Injector) String() string {
 	return fmt.Sprintf("faults injected: %d responses dropped, %d metadata fetches delayed, %d credit corruptions",
 		i.Dropped, i.Delayed, i.Corrupted)
+}
+
+// TruncateTail simulates a torn write by cutting the last n bytes off a
+// file (clamped at emptying it) — the shape a crash mid-append leaves
+// behind.
+func TruncateTail(path string, n int64) error {
+	info, err := os.Stat(path)
+	if err != nil {
+		return err
+	}
+	size := info.Size() - n
+	if size < 0 {
+		size = 0
+	}
+	return os.Truncate(path, size)
+}
+
+// FlipByte simulates silent media corruption by XOR-flipping one byte at
+// offset (negative offsets count from the end).
+func FlipByte(path string, offset int64) error {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	if len(raw) == 0 {
+		return fmt.Errorf("faultinject: %s is empty", path)
+	}
+	if offset < 0 {
+		offset += int64(len(raw))
+	}
+	if offset < 0 || offset >= int64(len(raw)) {
+		return fmt.Errorf("faultinject: offset %d outside %s (%d bytes)", offset, path, len(raw))
+	}
+	raw[offset] ^= 0xff
+	return os.WriteFile(path, raw, 0o644)
 }

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"dap/internal/faultinject"
-	"dap/internal/jobqueue"
 	"dap/internal/obs"
 )
 
@@ -107,16 +106,16 @@ func TestFlightRecorderCapturesStall(t *testing.T) {
 	}
 }
 
-// TestSweepExecutorWrapsFlightError runs a doomed job spec through the
-// service executor and asserts the abort comes back as an *obs.FlightError
-// whose dump is stamped with the job's correlation ID and store key — the
-// contract the sweep service's postmortem path relies on.
+// TestSweepExecutorWrapsFlightError runs a doomed point spec through the
+// sweep executor's abort path and asserts it comes back as an
+// *obs.FlightError whose dump is stamped with the point's store key — the
+// contract the sweep status's postmortem relies on.
 func TestSweepExecutorWrapsFlightError(t *testing.T) {
-	spec := jobqueue.JobSpec{
+	spec := PointSpec{
 		Mix: "mcf", Arch: "sectored", Policy: "dap",
 		Cores: 2, Instr: 150_000, Warm: 60_000, Quick: true,
 	}
-	// No public knob injects faults through a JobSpec, so exercise the same
+	// No public knob injects faults through a PointSpec, so exercise the same
 	// path sweepConfig feeds: resolve, poison, run.
 	cfg, mix, err := sweepConfig(spec)
 	if err != nil {
@@ -133,7 +132,6 @@ func TestSweepExecutorWrapsFlightError(t *testing.T) {
 	}
 	reason, snap := classifyAbort(runErr)
 	dump := res.Flight.Dump(reason, snap)
-	dump.Corr = "s1-j1"
 	dump.Key = SweepKey(spec)
 	fe := &obs.FlightError{Dump: dump, Err: runErr}
 
@@ -141,19 +139,18 @@ func TestSweepExecutorWrapsFlightError(t *testing.T) {
 	if !errors.As(error(fe), &got) {
 		t.Fatal("FlightError lost through errors.As")
 	}
-	if got.Dump.Corr != "s1-j1" || got.Dump.Key == "" || got.Dump.Reason != "watchdog-stall" {
+	if got.Dump.Key == "" || got.Dump.Reason != "watchdog-stall" {
 		t.Fatalf("dump context = %+v", got.Dump)
 	}
 }
 
-// TestSweepExecutorLogsWithCorr runs one real job through SweepExecutor
+// TestSweepExecutorLogsWithCorr runs one real point through SweepExecutor
 // with a capture logger on the context and asserts the start and done
-// records both carry the correlation ID.
+// records both carry the point's store key as their correlation value.
 func TestSweepExecutorLogsWithCorr(t *testing.T) {
 	var buf bytes.Buffer
-	ctx := obs.WithLogger(obs.WithCorr(context.Background(), "s7-j9"),
-		slog.New(slog.NewJSONHandler(&buf, nil)))
-	spec := jobqueue.JobSpec{
+	ctx := obs.WithLogger(context.Background(), slog.New(slog.NewJSONHandler(&buf, nil)))
+	spec := PointSpec{
 		Mix: "mcf", Arch: "sectored", Policy: "baseline",
 		Cores: 1, Instr: 60_000, Warm: 30_000, Quick: true,
 	}
@@ -165,7 +162,7 @@ func TestSweepExecutorLogsWithCorr(t *testing.T) {
 		t.Fatalf("payload missing agg_ipc: %s", payload)
 	}
 	logs := buf.String()
-	if strings.Count(logs, `"corr":"s7-j9"`) < 2 {
+	if strings.Count(logs, `"corr":"`+SweepKey(spec)+`"`) < 2 {
 		t.Fatalf("expected start+done records stamped with corr, got:\n%s", logs)
 	}
 	if !strings.Contains(logs, "simulation start") || !strings.Contains(logs, "simulation done") {

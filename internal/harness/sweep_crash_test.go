@@ -9,23 +9,22 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"dap/internal/faultinject"
-	"dap/internal/jobqueue"
 	"dap/internal/store"
 )
 
-// The kill-and-restart integration test: a sweep service process is crashed
-// mid-sweep at a deterministic chaos point (immediately after a result-store
-// write, before the completion is journaled), then a second process reopens
-// the same state directory and resumes. The resumed sweep must
+// The kill-and-restart integration test: a sweep process is crashed
+// mid-sweep at a deterministic point (its executor exits the process once
+// two results are stored), then a second process reopens the same state
+// directory and resumes. The resumed sweep must
 //
-//   - complete every job,
+//   - complete every point,
 //   - produce result payloads byte-identical to an uninterrupted in-process
 //     reference run, and
-//   - never re-simulate a job whose result already landed in the store
+//   - never re-simulate a point whose result already landed in the store
 //     (each key is simulated exactly once across both processes).
 //
 // The "process" is this test binary re-executed against its own helper test,
@@ -38,9 +37,9 @@ const (
 	sweepCrashExitCode = 7
 )
 
-// crashSweepSpec is the sweep both processes work on: 4 tiny jobs.
-func crashSweepSpec() jobqueue.SweepSpec {
-	return jobqueue.SweepSpec{
+// crashSweepSpec is the sweep both processes work on: 4 tiny points.
+func crashSweepSpec() SweepSpec {
+	return SweepSpec{
 		Mixes:    []string{"mcf", "omnetpp"},
 		Policies: []string{"baseline", "dap"},
 		Cores:    2, Instr: 40_000, Warm: 20_000, Quick: true,
@@ -48,34 +47,29 @@ func crashSweepSpec() jobqueue.SweepSpec {
 }
 
 // TestSweepCrashHelper is the subprocess body (skipped in a normal test
-// run): it opens the sweep service under $DAP_SWEEP_HELPER_DIR, submits the
-// sweep on first start, arms the chaos crash point from the environment,
-// and runs to completion — or to the injected crash.
+// run): it opens the sweeper under $DAP_SWEEP_HELPER_DIR, submits the sweep
+// on first start, and runs to completion — or, when $DAP_CRASH_AFTER_PUTS
+// is n, exits from the executor of point n+1, after n results are stored.
 func TestSweepCrashHelper(t *testing.T) {
 	dir := os.Getenv(sweepHelperEnv)
 	if dir == "" {
 		t.Skip("subprocess helper (driven by TestSweepResumeAfterKill)")
 	}
-
-	q, err := jobqueue.Open(SweepQueueConfig(filepath.Join(dir, "queue")))
-	if err != nil {
-		t.Fatalf("open queue: %v", err)
-	}
 	st, err := store.Open(filepath.Join(dir, "results"))
 	if err != nil {
 		t.Fatalf("open store: %v", err)
 	}
+	crashAfter, _ := strconv.ParseUint(os.Getenv(sweepCrashAfterEnv), 10, 64)
 
-	var chaos *faultinject.ServiceChaos
-	if n, _ := strconv.ParseUint(os.Getenv(sweepCrashAfterEnv), 10, 64); n > 0 {
-		chaos = faultinject.NewServiceChaos(faultinject.ServicePlan{
-			CrashAfterPut: n, CrashExitCode: sweepCrashExitCode,
-		})
-	}
-
-	// Log each actual simulation so the parent can prove completed jobs were
-	// served from the store, not re-run.
-	exec := func(ctx context.Context, spec jobqueue.JobSpec) ([]byte, error) {
+	// With one worker a point's result is stored before the next point
+	// starts, so the (n+1)-th call runs with exactly n results stored. Each
+	// actual simulation is logged so the parent can prove stored points
+	// were not re-run.
+	var calls atomic.Uint64
+	exec := func(ctx context.Context, spec PointSpec) ([]byte, error) {
+		if crashAfter > 0 && calls.Add(1) > crashAfter {
+			os.Exit(sweepCrashExitCode)
+		}
 		payload, err := SweepExecutor(ctx, spec)
 		if err == nil {
 			fmt.Printf("SIMDONE %s\n", SweepKey(spec))
@@ -83,33 +77,28 @@ func TestSweepCrashHelper(t *testing.T) {
 		return payload, err
 	}
 
-	svc := jobqueue.NewService(q, st, exec, jobqueue.ServiceConfig{
-		Workers: 1, Poll: time.Millisecond, Chaos: chaos,
-	})
-	if _, _, err := svc.Reconcile(); err != nil {
-		t.Fatalf("reconcile: %v", err)
+	sw, err := OpenSweeper(filepath.Join(dir, "sweeps"), st, exec, 1, nil)
+	if err != nil {
+		t.Fatalf("open sweeper: %v", err)
 	}
-	if len(q.Sweeps()) == 0 { // first start: submit; restarts resume
-		if _, err := q.Submit(crashSweepSpec()); err != nil {
+	if len(sw.Sweeps()) == 0 { // first start: submit; restarts resume
+		if _, err := sw.Submit(crashSweepSpec()); err != nil {
 			t.Fatalf("submit: %v", err)
 		}
 	}
-	svc.Start()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	if err := svc.Wait(ctx); err != nil {
+	if err := sw.Wait(ctx); err != nil {
 		t.Fatalf("sweep never drained: %v", err)
 	}
-	cctx, ccancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer ccancel()
-	if err := svc.Close(cctx); err != nil {
+	if err := sw.Close(ctx); err != nil {
 		t.Fatalf("close: %v", err)
 	}
 	fmt.Println("ALL DONE")
 }
 
 // runSweepHelper re-executes the test binary against the helper with the
-// given state dir and chaos env, returning combined output and exit code.
+// given state dir and crash env, returning combined output and exit code.
 func runSweepHelper(t *testing.T, dir string, extraEnv ...string) (string, int) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], "-test.run=^TestSweepCrashHelper$", "-test.v")
@@ -155,20 +144,19 @@ func TestSweepResumeAfterKill(t *testing.T) {
 		reference[SweepKey(spec)] = payload
 	}
 
-	// Process 1: crash immediately after the 2nd result lands in the store —
-	// after Put, before Ack, the nastiest window (result durable, completion
-	// not journaled).
+	// Process 1: crash once the 2nd result has landed in the store, with
+	// the 3rd point taken off the queue but not yet simulated.
 	out1, code1 := runSweepHelper(t, dir, sweepCrashAfterEnv+"=2")
 	if code1 != sweepCrashExitCode {
-		t.Fatalf("process 1 exited %d; want chaos exit %d\n%s", code1, sweepCrashExitCode, out1)
+		t.Fatalf("process 1 exited %d; want crash exit %d\n%s", code1, sweepCrashExitCode, out1)
 	}
 	keys1 := simDoneKeys(out1)
 	if len(keys1) != 2 {
-		t.Fatalf("process 1 simulated %d jobs before the crash; want 2\n%s", len(keys1), out1)
+		t.Fatalf("process 1 simulated %d points before the crash; want 2\n%s", len(keys1), out1)
 	}
 
-	// Process 2: same dir, no chaos. It must replay the journal, reconcile
-	// the orphaned lease against the store, and finish the remaining jobs.
+	// Process 2: same dir, no crash. It must re-read the saved spec, skip
+	// the stored keys and finish the remaining points.
 	out2, code2 := runSweepHelper(t, dir)
 	if code2 != 0 {
 		t.Fatalf("resumed process exited %d\n%s", code2, out2)
@@ -178,8 +166,8 @@ func TestSweepResumeAfterKill(t *testing.T) {
 	}
 	keys2 := simDoneKeys(out2)
 
-	// No job was simulated twice across the crash: every stored result was
-	// reused, including the one whose ack the crash swallowed.
+	// No point was simulated twice across the crash: every stored result
+	// was reused.
 	seen := map[string]bool{}
 	for _, k := range append(append([]string(nil), keys1...), keys2...) {
 		if seen[k] {
@@ -188,18 +176,7 @@ func TestSweepResumeAfterKill(t *testing.T) {
 		seen[k] = true
 	}
 	if got := len(keys1) + len(keys2); got != len(specs) {
-		t.Fatalf("simulated %d jobs across both processes; want exactly %d", got, len(specs))
-	}
-
-	// The queue on disk agrees: every job done, nothing dead or stuck.
-	q, err := jobqueue.Open(SweepQueueConfig(filepath.Join(dir, "queue")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer q.Close()
-	counts, total := q.Counts()
-	if total != len(specs) || counts["done"] != len(specs) {
-		t.Fatalf("final queue counts = %v (total %d)", counts, total)
+		t.Fatalf("simulated %d points across both processes; want exactly %d", got, len(specs))
 	}
 
 	// Bit-identical results: the interrupted-and-resumed sweep's merged

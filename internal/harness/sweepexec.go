@@ -6,16 +6,15 @@ import (
 	"errors"
 	"fmt"
 
-	"dap/internal/jobqueue"
 	"dap/internal/obs"
 	"dap/internal/sim"
 	"dap/internal/stats"
 	"dap/internal/workload"
 )
 
-// This file wires the simulator into the durable sweep service: resolving
-// job specs to configurations, deriving store keys from the configuration
-// fingerprint, and executing jobs deterministically so stored results are
+// This file wires the simulator into the sweep layer: resolving point specs
+// to configurations, deriving store keys from the configuration
+// fingerprint, and executing points deterministically so stored results are
 // byte-for-byte interchangeable with fresh runs.
 
 // ParseArch resolves an architecture name ("sectored", "alloy", "edram",
@@ -40,8 +39,8 @@ func ParsePolicy(name string) (Policy, error) {
 	return 0, fmt.Errorf("unknown policy %q (want baseline|dap|dap-fwb-wb|sbd|sbd-wt|batman)", name)
 }
 
-// sweepConfig resolves a job spec to a runnable (Config, Mix) pair.
-func sweepConfig(spec jobqueue.JobSpec) (Config, workload.Mix, error) {
+// sweepConfig resolves a point spec to a runnable (Config, Mix) pair.
+func sweepConfig(spec PointSpec) (Config, workload.Mix, error) {
 	cfg := Default()
 	if spec.Quick {
 		cfg = Quick()
@@ -70,7 +69,7 @@ func sweepConfig(spec jobqueue.JobSpec) (Config, workload.Mix, error) {
 		return Config{}, workload.Mix{}, err
 	}
 	cfg.Sampled = spec.Sampled
-	// The service always flies the black box: Flight is part of the resolved
+	// The sweep layer always flies the black box: Flight is part of the resolved
 	// configuration (rather than toggled after the fact) so SweepKey's
 	// fingerprint and the fingerprint embedded in the stored result agree.
 	cfg.Flight = true
@@ -91,29 +90,34 @@ func resolveMix(name string, cores int) (workload.Mix, error) {
 	return workload.Mix{}, fmt.Errorf("unknown mix %q", name)
 }
 
-// SweepKey derives the store key of a job: the configuration fingerprint
+// SweepKey derives the store key of a point: the configuration fingerprint
 // (which covers arch, policy, core count and run lengths — see Fingerprint)
 // plus the mix name and seed. Identical requests — even from different
 // sweeps or across restarts — therefore share a key and a stored result.
-func SweepKey(spec jobqueue.JobSpec) string {
+// The key is also the point's log correlation value.
+func SweepKey(spec PointSpec) string {
 	cfg, mix, err := sweepConfig(spec)
 	if err != nil {
 		// Unresolvable specs are caught by SweepValidate before submission;
-		// fall back to the spec string so the queue still has a stable key.
+		// fall back to the spec string so the key is still stable.
 		return "invalid-" + spec.String()
 	}
-	return fmt.Sprintf("%s-%s-s%d", Fingerprint(cfg), mix.Name, spec.Seed)
+	return pointKey(cfg, mix, spec.Seed)
+}
+
+func pointKey(cfg Config, mix workload.Mix, seed uint64) string {
+	return fmt.Sprintf("%s-%s-s%d", Fingerprint(cfg), mix.Name, seed)
 }
 
 // SweepValidate rejects specs that do not resolve to a runnable
 // configuration, so malformed requests 400 at submission instead of
-// dead-lettering after doomed retries.
-func SweepValidate(spec jobqueue.JobSpec) error {
+// failing after they are queued.
+func SweepValidate(spec PointSpec) error {
 	_, _, err := sweepConfig(spec)
 	return err
 }
 
-// SweepResult is the stored payload of one completed job: deterministic
+// SweepResult is the stored payload of one completed point: deterministic
 // JSON (fixed field order, integer-exact counters) so byte identity of
 // payloads is equivalent to bit identity of the simulation.
 type SweepResult struct {
@@ -125,36 +129,35 @@ type SweepResult struct {
 	AggIPC      float64   `json:"agg_ipc"`
 	Run         stats.Run `json:"run"`
 	// Sampling carries the interval-sampling estimator's report for
-	// Sampled jobs (absent on full runs).
+	// Sampled points (absent on full runs).
 	Sampling *SamplingReport `json:"sampling,omitempty"`
 }
 
-// SweepExecutor runs one job spec through the simulator and renders its
-// SweepResult. It is the jobqueue.Executor of the sweep service. The
-// context carries the job's correlation ID and logger (obs.WithCorr /
-// obs.WithLogger); an aborted run comes back as an *obs.FlightError
-// wrapping the cause, so the service can persist and serve the frozen
-// flight recording as a postmortem.
-func SweepExecutor(ctx context.Context, spec jobqueue.JobSpec) ([]byte, error) {
+// SweepExecutor runs one point spec through the simulator and renders its
+// SweepResult. The context carries the logger (obs.WithLogger); every
+// record is stamped with the point's store key as its "corr" value. An
+// aborted run comes back as an *obs.FlightError wrapping the cause, so the
+// sweep status can show the frozen flight recording as a postmortem.
+func SweepExecutor(ctx context.Context, spec PointSpec) ([]byte, error) {
 	return sweepExecute(ctx, spec, nil)
 }
 
-// SweepExecutorCkpt returns a jobqueue.Executor that resumes each job from
-// the shared warmup-checkpoint cache: concurrent jobs differing only in
+// SweepExecutorCkpt returns an Executor that resumes each point from the
+// shared warmup-checkpoint cache: concurrent points differing only in
 // runtime policy restore from one single-flight snapshot. Results stay
 // byte-identical to SweepExecutor's.
-func SweepExecutorCkpt(ck *Checkpoints) jobqueue.Executor {
-	return func(ctx context.Context, spec jobqueue.JobSpec) ([]byte, error) {
+func SweepExecutorCkpt(ck *Checkpoints) Executor {
+	return func(ctx context.Context, spec PointSpec) ([]byte, error) {
 		return sweepExecute(ctx, spec, ck)
 	}
 }
 
-func sweepExecute(ctx context.Context, spec jobqueue.JobSpec, ck *Checkpoints) ([]byte, error) {
+func sweepExecute(ctx context.Context, spec PointSpec, ck *Checkpoints) ([]byte, error) {
 	cfg, mix, err := sweepConfig(spec)
 	if err != nil {
 		return nil, err
 	}
-	corr := obs.Corr(ctx)
+	corr := pointKey(cfg, mix, spec.Seed)
 	log := obs.LoggerFrom(ctx)
 	log.Info("simulation start", "corr", corr,
 		"mix", mix.Name, "arch", cfg.Arch.String(), "policy", cfg.Policy.String(),
@@ -165,8 +168,7 @@ func sweepExecute(ctx context.Context, spec jobqueue.JobSpec, ck *Checkpoints) (
 		log.Error("simulation aborted", "corr", corr, "reason", reason, "err", err.Error())
 		if res.Flight != nil {
 			dump := res.Flight.Dump(reason, snap)
-			dump.Corr = corr
-			dump.Key = SweepKey(spec)
+			dump.Key = corr
 			dump.Error = err.Error()
 			return nil, &obs.FlightError{Dump: dump, Err: err}
 		}
@@ -202,14 +204,4 @@ func classifyAbort(err error) (reason, snapshot string) {
 		return "audit-violation", ""
 	}
 	return "run-error", ""
-}
-
-// SweepQueueConfig is the queue configuration the sweep service uses: state
-// under dir, keys from the config fingerprint, validation at submission.
-func SweepQueueConfig(dir string) jobqueue.Config {
-	return jobqueue.Config{
-		Dir:      dir,
-		KeyFunc:  SweepKey,
-		Validate: SweepValidate,
-	}
 }

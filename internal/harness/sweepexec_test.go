@@ -5,13 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"testing"
-
-	"dap/internal/jobqueue"
 )
 
-// tinySweepSpec is the smallest job that exercises the full simulator path.
-func tinySweepSpec() jobqueue.JobSpec {
-	return jobqueue.JobSpec{
+// tinySweepSpec is the smallest point that exercises the full simulator path.
+func tinySweepSpec() PointSpec {
+	return PointSpec{
 		Mix: "mcf", Arch: "sectored", Policy: "baseline", Seed: 0,
 		Cores: 2, Instr: 40_000, Warm: 20_000, Quick: true,
 	}
@@ -42,7 +40,7 @@ func TestSweepValidate(t *testing.T) {
 	if err := SweepValidate(tinySweepSpec()); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
 	}
-	for _, bad := range []jobqueue.JobSpec{
+	for _, bad := range []PointSpec{
 		{Mix: "no-such-mix", Arch: "sectored", Policy: "baseline"},
 		{Mix: "mcf", Arch: "bogus", Policy: "baseline"},
 		{Mix: "mcf", Arch: "sectored", Policy: "bogus"},
@@ -68,12 +66,12 @@ func TestSweepKeyIsFingerprintBased(t *testing.T) {
 		t.Fatalf("key = %q; want %q", k1, want)
 	}
 	// Any behavior-affecting knob moves the key.
-	for _, mutate := range []func(*jobqueue.JobSpec){
-		func(s *jobqueue.JobSpec) { s.Policy = "dap" },
-		func(s *jobqueue.JobSpec) { s.Arch = "alloy" },
-		func(s *jobqueue.JobSpec) { s.Seed = 1 },
-		func(s *jobqueue.JobSpec) { s.Instr = 50_000 },
-		func(s *jobqueue.JobSpec) { s.Cores = 4 },
+	for _, mutate := range []func(*PointSpec){
+		func(s *PointSpec) { s.Policy = "dap" },
+		func(s *PointSpec) { s.Arch = "alloy" },
+		func(s *PointSpec) { s.Seed = 1 },
+		func(s *PointSpec) { s.Instr = 50_000 },
+		func(s *PointSpec) { s.Cores = 4 },
 	} {
 		other := tinySweepSpec()
 		mutate(&other)
@@ -156,7 +154,7 @@ func TestSweepExecutorSampledJob(t *testing.T) {
 }
 
 func TestSweepExecutorRejectsBadSpec(t *testing.T) {
-	if _, err := SweepExecutor(context.Background(), jobqueue.JobSpec{Mix: "nope", Arch: "sectored", Policy: "baseline"}); err == nil {
+	if _, err := SweepExecutor(context.Background(), PointSpec{Mix: "nope", Arch: "sectored", Policy: "baseline"}); err == nil {
 		t.Fatal("executor ran an unresolvable spec")
 	}
 }

@@ -10,8 +10,6 @@ import (
 // {"displayTimeUnit":"ns","traceEvents":[...]} form loadable in Perfetto or
 // chrome://tracing). It handles the envelope and the comma discipline
 // between events; callers format each event object themselves via Emit.
-// Both the simulation-request tracer (WriteChromeTrace) and the
-// job-lifecycle tracer (JobTracer.WriteChromeTrace) render through it.
 type ChromeTraceWriter struct {
 	bw    *bufio.Writer
 	first bool

@@ -8,7 +8,7 @@ import (
 
 // FlightRecorder keeps a bounded ring of recent engine-state summaries for
 // one running simulation — the "black box" that turns a watchdog stall, an
-// exhausted job or a faultinject abort into a postmortem artifact. The
+// audit violation or a faultinject abort into a postmortem artifact. The
 // simulation samples into it periodically (see sim.Engine.SetFlightSampler)
 // and at lifecycle milestones; on a failure the harness freezes the ring
 // into a FlightDump.
@@ -96,13 +96,10 @@ func (fr *FlightRecorder) Entries() []FlightEntry {
 }
 
 // FlightDump is a frozen flight recording plus the failure context — what
-// gets written to disk, logged and served from /jobs/{id}/flight when a run
-// aborts.
+// the sweep status (GET /jobs/{id}) shows for a point whose run aborted.
 type FlightDump struct {
-	Corr     string        `json:"corr,omitempty"`     // job correlation ID
-	Job      uint64        `json:"job,omitempty"`      // job ID, when service-run
-	Key      string        `json:"key,omitempty"`      // config fingerprint / store key
-	Reason   string        `json:"reason"`             // "watchdog-stall", "run-error", "attempts-exhausted"
+	Key      string        `json:"key,omitempty"`      // sweep store key
+	Reason   string        `json:"reason"`             // "watchdog-stall", "audit-violation", "run-error"
 	Error    string        `json:"error,omitempty"`    // the triggering error's text
 	Snapshot string        `json:"snapshot,omitempty"` // engine state at failure
 	Entries  []FlightEntry `json:"entries"`
@@ -124,8 +121,8 @@ func (fr *FlightRecorder) Dump(reason, snapshot string) *FlightDump {
 }
 
 // FlightError attaches a flight recording to the error that aborted a run,
-// so layers above the harness (the sweep service) can persist and serve the
-// dump without importing harness types. It unwraps to the underlying error.
+// so layers above the simulation (the sweep status) can show the dump
+// without importing harness types. It unwraps to the underlying error.
 type FlightError struct {
 	Dump *FlightDump
 	Err  error

@@ -7,13 +7,12 @@ import (
 	"strings"
 )
 
-// The sweep service logs through log/slog with one convention: every record
-// about a job carries the attribute "corr", the job's correlation ID
-// ("s<sweep>-j<job>"), so a grep for one corr value reconstructs the job's
-// whole lifecycle across submit, lease, execute, store and ack — whichever
-// component emitted each record. The logger and the correlation ID travel
-// on the context; a nil or absent logger degrades to a silent one so
-// library code can log unconditionally.
+// The sweep layer logs through log/slog with one convention: every record
+// about a figure point carries the attribute "corr", the point's store key,
+// so a grep for one corr value reconstructs the point's lifecycle across
+// queue, simulation and store — whichever component emitted each record.
+// The logger travels on the context; a nil or absent logger degrades to a
+// silent one so library code can log unconditionally.
 
 // NewLogger builds a slog.Logger writing to w. format is "text" or "json"
 // (anything else selects text); level is "debug", "info", "warn" or
@@ -43,37 +42,18 @@ func NopLogger() *slog.Logger {
 	return slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(127)}))
 }
 
-type ctxKey int
-
-const (
-	corrKey ctxKey = iota
-	loggerKey
-)
-
-// WithCorr stamps a correlation ID onto the context.
-func WithCorr(ctx context.Context, corr string) context.Context {
-	return context.WithValue(ctx, corrKey, corr)
-}
-
-// Corr returns the context's correlation ID, or "".
-func Corr(ctx context.Context) string {
-	if ctx == nil {
-		return ""
-	}
-	c, _ := ctx.Value(corrKey).(string)
-	return c
-}
+type loggerKey struct{}
 
 // WithLogger attaches a logger to the context.
 func WithLogger(ctx context.Context, l *slog.Logger) context.Context {
-	return context.WithValue(ctx, loggerKey, l)
+	return context.WithValue(ctx, loggerKey{}, l)
 }
 
 // LoggerFrom returns the context's logger, or a silent one — never nil, so
 // callers chain .Info/.Debug without checking.
 func LoggerFrom(ctx context.Context) *slog.Logger {
 	if ctx != nil {
-		if l, ok := ctx.Value(loggerKey).(*slog.Logger); ok && l != nil {
+		if l, ok := ctx.Value(loggerKey{}).(*slog.Logger); ok && l != nil {
 			return l
 		}
 	}

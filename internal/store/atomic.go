@@ -11,7 +11,7 @@ import (
 )
 
 // magic identifies (and versions) the checksummed file envelope shared by
-// the result store and the job queue's checkpoints.
+// the result store and the saved sweep specs.
 const magic = "dapstore1"
 
 // ErrCorrupt marks a file that exists but fails envelope verification — a

@@ -10,13 +10,13 @@
 // instruction leaves at most an ignorable temp file. Corrupt or truncated
 // entries — a torn envelope, a checksum mismatch, a short payload — are
 // detected on open, counted, quarantined (deleted) and reported as misses,
-// so one bad block can never poison a resumed sweep: the job is simply
-// re-executed and the entry rewritten.
+// so one bad block can never poison a resumed sweep: the point is simply
+// re-run and the entry rewritten.
 //
 // Determinism makes the store safe to share: a key is only ever associated
 // with one byte-exact payload, so concurrent writers racing on the same key
 // are idempotent and a hit is always interchangeable with re-running the
-// job.
+// point.
 package store
 
 import (
@@ -115,7 +115,7 @@ func (s *Store) Get(key string) ([]byte, bool) {
 }
 
 // Has reports whether key resolves to a valid entry without counting a
-// hit/miss (used by recovery reconciliation).
+// hit/miss (the sweep layer's completion check).
 func (s *Store) Has(key string) bool {
 	payload, gotKey, err := ReadFileVerified(s.path(key))
 	return err == nil && gotKey == key && payload != nil

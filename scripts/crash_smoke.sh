@@ -2,13 +2,13 @@
 # crash_smoke.sh — kill -9 a running sweep service and verify it resumes.
 #
 # Boots `dapsim -serve -sweep-dir` on a random port, submits a small sweep
-# over the HTTP API, waits until at least one job has completed, SIGKILLs
+# over the HTTP API, waits until at least one point has completed, SIGKILLs
 # the process mid-sweep, restarts it against the same state directory, and
-# asserts the resumed service drives the sweep to completion: every job
+# asserts the resumed service drives the sweep to completion: every point
 # reported "done", every result served by /jobs/1/results, and a clean
 # exit 0 on SIGINT. This is the shell-level counterpart of the in-repo
 # kill-and-restart test (internal/harness/sweep_crash_test.go), exercising
-# the real binary, real signals and the real WAL-replay path.
+# the real binary, real signals and the real resume path.
 set -u
 
 cd "$(dirname "$0")/.."
@@ -77,8 +77,8 @@ echo "crash-smoke: starting sweep service"
 start_service
 echo "crash-smoke: serving on $addr"
 
-# 4 jobs: 2 mixes x 2 policies, quick config. One worker and ~half-second
-# jobs, so the kill lands with the sweep genuinely in progress.
+# 4 points: 2 mixes x 2 policies, quick config. One worker and ~half-second
+# points, so the kill lands with the sweep genuinely in progress.
 spec='{"mixes":["mcf","omnetpp"],"policies":["baseline","dap"],"cores":2,"instr":1000000,"warm":100000,"quick":true}'
 code=$(curl -s -o "$tmp/submit" -w '%{http_code}' \
     -X POST -d "$spec" "http://$addr/jobs") || fail "curl POST /jobs"
@@ -92,7 +92,7 @@ for _ in $(seq 1 240); do
     kill -0 "$pid" 2>/dev/null || fail "dapsim died while sweeping"
     sleep 0.25
 done
-[ "${n:-0}" -ge 1 ] || fail "timeout: no job completed within 60s"
+[ "${n:-0}" -ge 1 ] || fail "timeout: no point completed within 60s"
 echo "crash-smoke: $n/4 done — SIGKILL"
 kill -9 "$pid"
 wait "$pid" 2>/dev/null
@@ -101,7 +101,7 @@ pid=""
 echo "crash-smoke: restarting against the same state dir"
 start_service
 
-# The resumed service must finish the sweep from its journal.
+# The resumed service must finish the sweep from its saved spec.
 for _ in $(seq 1 240); do
     n=$(done_count)
     [ "${n:-0}" = 4 ] && break
