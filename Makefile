@@ -4,7 +4,7 @@
 # exercised even when the main suite is filtered.
 GO ?= go
 
-.PHONY: check vet build test race bench bench-cmp bench-figures runner-race obs-check obs-race pool-debug telemetry-race queue-race ckpt-race serve-smoke crash-smoke trace-demo profile profile-diff profile-base fuzz-smoke
+.PHONY: check vet build test race bench bench-figures runner-race obs-check obs-race pool-debug telemetry-race queue-race ckpt-race serve-smoke crash-smoke trace-demo profile profile-diff profile-base fuzz-smoke
 
 check: vet build race runner-race obs-check obs-race pool-debug telemetry-race queue-race ckpt-race serve-smoke crash-smoke fuzz-smoke profile-diff
 
@@ -98,29 +98,21 @@ pool-debug:
 	$(GO) test -tags dappooldebug ./internal/mem/
 	$(GO) test -tags dappooldebug -run 'TestPoolingUnderParallelRuns' ./internal/harness/
 
-# bench runs the substrate microbenchmarks plus the end-to-end quick run and
-# writes the machine-readable report consumed by DESIGN.md's performance
-# section. The long end-to-end benchmarks run in a second invocation with a
-# fixed iteration count: under the default 1s benchtime they get only 1-2
-# iterations, and a single noisy run then dominates the recorded ns/op.
-# bench-figures is the full figure-regeneration benchmark suite.
+# bench runs the substrate microbenchmarks plus the end-to-end quick run.
+# The long end-to-end benchmarks run in a second invocation with a fixed
+# iteration count: under the default 1s benchtime they get only 1-2
+# iterations, and a single noisy run then dominates the reported ns/op.
+# bench-figures is the full figure-regeneration benchmark suite. The
+# repository benchmark, which compares revisions, is dapbench/ (see
+# dapbench/README.md).
 bench:
-	{ $(GO) test -bench='EngineEvent|CacheLookup|DRAMStream|WorkloadGen' \
-		-benchmem -run=^$$ . && \
-	  $(GO) test -bench='EndToEndQuickRun|EndToEndCheckpointResume|Replicate6' \
-		-benchtime=5x -benchmem -run=^$$ . ; } \
-		| $(GO) run ./cmd/benchjson -o BENCH_PR10.json \
-		-note "cache-conscious data layout: packed SoA tag stores, DAP per-access fast path, streaming checkpoints"
+	$(GO) test -bench='EngineEvent|CacheLookup|DRAMStream|WorkloadGen' \
+		-benchmem -run=^$$ .
+	$(GO) test -bench='EndToEndQuickRun|EndToEndCheckpointResume|Replicate6' \
+		-benchtime=5x -benchmem -run=^$$ .
 
 bench-figures:
 	$(GO) test -bench=. -benchmem -run=^$$ .
-
-# bench-cmp gates a bench report against a baseline: prints the per-benchmark
-# delta table and exits non-zero when any shared benchmark regressed by more
-# than 10% in ns/op, bytes/op or allocs/op.
-#   make bench-cmp BASE=BENCH_PR3.json HEAD=BENCH_HEAD.json
-bench-cmp:
-	$(GO) run ./cmd/benchcmp $(BASE) $(HEAD)
 
 # fuzz-smoke runs each envelope fuzzer for 10 seconds — the checkpoint
 # envelope, and the store envelope that guards result entries and saved

@@ -193,16 +193,17 @@ func BenchmarkAblFootprint(b *testing.B) {
 
 // Substrate microbenchmarks (ns/op figures for the building blocks).
 
-// BenchmarkEngineEvent measures event scheduling/dispatch cost. The
-// callback is hoisted out of the loop — exactly how the simulator's hot
-// paths schedule (prebound handlers, AtArg) — so the benchmark reports the
-// engine's own cost: with the timing wheel it must be allocation-free.
+// BenchmarkEngineEvent measures event scheduling/dispatch cost through a
+// top-level handler with a pointer ctx — exactly how the simulator's hot
+// paths schedule — so the benchmark reports the engine's own cost: with the
+// timing wheel it must be allocation-free.
+func countEvent(ctx any, _ uint64, _ mem.Cycle) { *ctx.(*int)++ }
+
 func BenchmarkEngineEvent(b *testing.B) {
 	eng := sim.New()
 	n := 0
-	fn := func() { n++ }
 	for i := 0; i < b.N; i++ {
-		eng.After(mem.Cycle(i%64), fn)
+		eng.AfterArg(mem.Cycle(i%64), countEvent, &n, 0)
 		if eng.Pending() > 1024 {
 			eng.Drain()
 		}

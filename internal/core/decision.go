@@ -88,16 +88,12 @@ type PolicyEvent struct {
 // and never feeds anything back, so a run with recording on yields a
 // bit-identical stats.Run (TestDecisionRecordingIsBitIdentical).
 type DecisionRecorder struct {
-	max  int
-	recs []DecisionRecord
-	head int
-	n    int
+	recs *obs.Ring[DecisionRecord]
 
 	events        []PolicyEvent
 	eventsMax     int
 	eventsDropped uint64
 
-	evicted  uint64
 	sources  []string
 	onRecord func(DecisionRecord)
 }
@@ -108,7 +104,7 @@ func NewDecisionRecorder(capacity int) *DecisionRecorder {
 	if capacity <= 0 {
 		capacity = 1 << 16
 	}
-	return &DecisionRecorder{max: capacity, eventsMax: 4096}
+	return &DecisionRecorder{recs: obs.NewRing[DecisionRecord](capacity), eventsMax: 4096}
 }
 
 // OnRecord installs a callback invoked for every recorded decision (the
@@ -142,14 +138,7 @@ func (r *DecisionRecorder) Add(rec DecisionRecord) {
 	if r == nil {
 		return
 	}
-	if len(r.recs) < r.max {
-		r.recs = append(r.recs, rec)
-		r.n++
-	} else {
-		r.recs[r.head] = rec
-		r.head = (r.head + 1) % r.max
-		r.evicted++
-	}
+	r.recs.Push(rec)
 	if r.onRecord != nil {
 		r.onRecord(rec)
 	}
@@ -174,19 +163,15 @@ func (r *DecisionRecorder) Records() []DecisionRecord {
 	if r == nil {
 		return nil
 	}
-	out := make([]DecisionRecord, 0, r.n)
-	for i := 0; i < r.n; i++ {
-		out = append(out, r.recs[(r.head+i)%r.max])
-	}
-	return out
+	return r.recs.Slice()
 }
 
 // Last returns the most recent decision record, or nil before the first.
 func (r *DecisionRecorder) Last() *DecisionRecord {
-	if r == nil || r.n == 0 {
+	if r == nil || r.recs.Len() == 0 {
 		return nil
 	}
-	return &r.recs[(r.head+r.n-1)%r.max]
+	return r.recs.At(r.recs.Len() - 1)
 }
 
 // Events returns the retained policy events in capture order.
@@ -203,7 +188,7 @@ func (r *DecisionRecorder) Evicted() uint64 {
 	if r == nil {
 		return 0
 	}
-	return r.evicted
+	return r.recs.Evicted()
 }
 
 // Dropped returns the count of policy events discarded at the event cap.
@@ -325,7 +310,7 @@ func clampF(v, lo, hi float64) float64 {
 // Chrome trace via obs.Tracer.WriteChromeTraceWith, so per-window solver
 // state lines up under the traced misses it caused.
 func (r *DecisionRecorder) CounterTracks() []obs.CounterTrack {
-	if r == nil || r.n == 0 {
+	if r == nil || r.recs.Len() == 0 {
 		return nil
 	}
 	recs := r.Records()

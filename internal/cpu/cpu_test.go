@@ -24,7 +24,7 @@ func (f *fixedBackend) Read(a mem.Addr, c int, k mem.Kind, done func(mem.Cycle))
 	} else {
 		f.reads++
 	}
-	f.eng.After(f.lat, func() { done(f.eng.Now()) })
+	f.eng.AfterArg(f.lat, mem.Call, done, 0)
 }
 func (f *fixedBackend) Writeback(a mem.Addr, c int)     { f.writebacks++ }
 func (f *fixedBackend) WarmRead(a mem.Addr, c int)      { f.warmReads++ }

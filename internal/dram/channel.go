@@ -67,6 +67,7 @@ type channel struct {
 
 	// latencies precomputed in CPU cycles
 	tCAS, tRCD, tRP, tRAS, burst, io, turn mem.Cycle
+	tREFI, tRFC                            mem.Cycle // refresh interval and duration (0: no refresh)
 }
 
 func newChannel(cfg *Config, eng *sim.Engine, pool *mem.RequestPool) *channel {
@@ -82,24 +83,9 @@ func newChannel(cfg *Config, eng *sim.Engine, pool *mem.RequestPool) *channel {
 		ch.banks[i].openRow = -1
 	}
 	if cfg.RefreshInterval > 0 && cfg.RefreshCycles > 0 {
-		interval := cfg.cpuCycles(cfg.RefreshInterval)
-		dur := cfg.cpuCycles(cfg.RefreshCycles)
-		var refresh func()
-		refresh = func() {
-			// all banks close and the channel stalls for tRFC
-			start := maxCycle(eng.Now(), ch.busFree)
-			end := start + dur
-			ch.busFree = end
-			for i := range ch.banks {
-				ch.banks[i].openRow = -1
-				if ch.banks[i].nextData < end {
-					ch.banks[i].nextData = end
-				}
-			}
-			ch.stats.Refreshes++
-			eng.At(eng.Now()+interval, refresh)
-		}
-		eng.At(interval, refresh)
+		ch.tREFI = cfg.cpuCycles(cfg.RefreshInterval)
+		ch.tRFC = cfg.cpuCycles(cfg.RefreshCycles)
+		eng.AtArg(ch.tREFI, refresh, ch, 0)
 	}
 	ch.tCAS = cfg.cpuCycles(cfg.TCAS)
 	ch.tRCD = cfg.cpuCycles(cfg.TRCD)
@@ -286,12 +272,29 @@ func (ch *channel) issue(e *queued, now mem.Cycle) {
 		ch.stats.ReadLat.Add(uint64(done - e.enqueued))
 	}
 	if e.req.Done != nil {
-		// AtCall hands the callback its execution cycle directly, so no
-		// wrapper closure is allocated per completed access.
-		ch.eng.AtCall(done, e.req.Done)
+		// The held callback rides in ctx: no wrapper closure is allocated
+		// per completed access.
+		ch.eng.AtArg(done, mem.Call, e.req.Done, 0)
 	}
 	ch.pool.Put(e.req)
 	e.req = nil
+}
+
+// refresh is the channel's periodic refresh event: all banks close and the
+// channel stalls for tRFC, then the next refresh is due tREFI later.
+func refresh(ctx any, _ uint64, now mem.Cycle) {
+	ch := ctx.(*channel)
+	start := maxCycle(now, ch.busFree)
+	end := start + ch.tRFC
+	ch.busFree = end
+	for i := range ch.banks {
+		ch.banks[i].openRow = -1
+		if ch.banks[i].nextData < end {
+			ch.banks[i].nextData = end
+		}
+	}
+	ch.stats.Refreshes++
+	ch.eng.AtArg(now+ch.tREFI, refresh, ch, 0)
 }
 
 func maxCycle(a, b mem.Cycle) mem.Cycle {

@@ -115,9 +115,7 @@ func (d *Device) submitFaulty(r *mem.Request) {
 			r.Done = nil
 		case r.Done != nil:
 			orig, extra := r.Done, act.ExtraDelay
-			r.Done = func(t mem.Cycle) {
-				d.eng.After(extra, func() { orig(t + extra) })
-			}
+			r.Done = func(mem.Cycle) { d.eng.AfterArg(extra, mem.Call, orig, 0) }
 		}
 	}
 	d.Kinds[r.Kind]++

@@ -165,6 +165,32 @@ func TestDoneCallbackAlwaysFires(t *testing.T) {
 	}
 }
 
+// TestCompletionDeliveryAllocs asserts that issuing an access and
+// delivering its Done callback through the engine allocates nothing once the
+// request pool, channel queues and event arena are warm: the held callback
+// rides in the event's ctx (mem.Call), with no wrapper closure per access.
+func TestCompletionDeliveryAllocs(t *testing.T) {
+	eng := sim.New()
+	dev := NewDevice(HBM102(), eng)
+	fired := 0
+	done := func(mem.Cycle) { fired++ }
+	for i := 0; i < 256; i++ {
+		dev.Access(mem.Addr(i*977*mem.LineBytes), mem.ReadKind, 0, done)
+	}
+	eng.Drain()
+	i := 0
+	if a := testing.AllocsPerRun(1000, func() {
+		i++
+		dev.Access(mem.Addr(i*977*mem.LineBytes), mem.ReadKind, 0, done)
+		eng.Drain()
+	}); a != 0 {
+		t.Fatalf("access + completion delivery allocates %.1f times, want 0", a)
+	}
+	if fired != 256+1001 {
+		t.Fatalf("done fired %d times, want %d", fired, 256+1001)
+	}
+}
+
 func TestReadLatencyReasonable(t *testing.T) {
 	cfg := DDR4_2400()
 	eng := sim.New()

@@ -61,9 +61,10 @@ func (p *Plan) Validate() error {
 // counters observe the merged arrival order, which the deterministic event
 // engine makes reproducible.
 type Injector struct {
-	plan  Plan
-	reads uint64
-	metas uint64
+	plan   Plan
+	reads  uint64
+	metas  uint64
+	target CreditCorrupter // armed by ArmCreditFault
 
 	// Injection counts, for diagnostics and test assertions.
 	Dropped   uint64
@@ -113,16 +114,21 @@ type CreditCorrupter interface {
 }
 
 // ArmCreditFault schedules the plan's credit corruption on schedule (an
-// After-style scheduler, typically sim.Engine.After bound at the start of
-// the measured region). It is a no-op when the plan has none configured.
-func (i *Injector) ArmCreditFault(schedule func(delay mem.Cycle, fn func()), target CreditCorrupter) {
+// AfterArg-style scheduler, typically sim.Engine.AfterArg bound at the start
+// of the measured region). It is a no-op when the plan has none configured.
+func (i *Injector) ArmCreditFault(schedule func(delay mem.Cycle, fn mem.Handler, ctx any, v uint64), target CreditCorrupter) {
 	if i.plan.CorruptCreditsAt == 0 || target == nil {
 		return
 	}
-	schedule(i.plan.CorruptCreditsAt, func() {
-		i.Corrupted++
-		target.InjectCreditFault(i.plan.CorruptCreditsBy)
-	})
+	i.target = target
+	schedule(i.plan.CorruptCreditsAt, corruptCredits, i, 0)
+}
+
+// corruptCredits is the armed credit-corruption event.
+func corruptCredits(ctx any, _ uint64, _ mem.Cycle) {
+	i := ctx.(*Injector)
+	i.Corrupted++
+	i.target.InjectCreditFault(i.plan.CorruptCreditsBy)
 }
 
 // String summarizes the injections performed so far.

@@ -133,7 +133,7 @@ func TestArmCreditFault(t *testing.T) {
 	eng := sim.New()
 	inj := New(Plan{CorruptCreditsAt: 500, CorruptCreditsBy: -77})
 	var target fakeDAP
-	inj.ArmCreditFault(eng.After, &target)
+	inj.ArmCreditFault(eng.AfterArg, &target)
 	eng.RunUntil(499)
 	if target.delta != 0 {
 		t.Fatalf("corruption fired early: %d", target.delta)

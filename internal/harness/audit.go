@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"dap/internal/dram"
 	"dap/internal/mem"
 	"dap/internal/mscache"
 	"dap/internal/sim"
@@ -102,54 +103,67 @@ const reservationHorizon = 256
 // The first violation aborts the run via Engine.Fail with an *AuditError
 // carrying the cycle and check name.
 func (s *System) startAudit() {
-	every := s.Cfg.AuditEvery
-	if every == 0 {
-		every = 4096
+	a := &auditor{s: s, every: s.Cfg.AuditEvery, devs: s.devices(), lastCycle: s.Eng.Now()}
+	if a.every == 0 {
+		a.every = 4096
 	}
-	devs := s.devices()
-	lastCAS := make([]uint64, len(devs))
-	for i, d := range devs {
-		lastCAS[i] = d.Stats().CAS()
+	a.lastCAS = make([]uint64, len(a.devs))
+	for i, d := range a.devs {
+		a.lastCAS[i] = d.Stats().CAS()
 	}
-	lastCycle := s.Eng.Now()
+	s.Eng.AfterArg(a.every, auditTick, a, 0)
+}
 
-	fail := func(checkName string, err error) {
+// auditor is the state the periodic audit event carries between windows.
+type auditor struct {
+	s         *System
+	every     mem.Cycle
+	devs      []*dram.Device
+	lastCAS   []uint64
+	lastCycle mem.Cycle
+}
+
+// auditTick runs one audit window and, when every check passes, schedules
+// the next one; the first violation fails the engine instead.
+func auditTick(ctx any, _ uint64, now mem.Cycle) {
+	a := ctx.(*auditor)
+	auditChecks.Inc()
+	if name, err := a.check(now); err != nil {
 		auditViolations.Inc()
-		s.Eng.Fail(&AuditError{Cycle: s.Eng.Now(), Check: checkName, Err: err})
+		a.s.Eng.Fail(&AuditError{Cycle: now, Check: name, Err: err})
+		return
 	}
-	var tick func()
-	tick = func() {
-		auditChecks.Inc()
-		if s.dap != nil {
-			if err := s.dap.AuditCredits(); err != nil {
-				fail("dap-credits", err)
-				return
-			}
+	a.s.Eng.AfterArg(a.every, auditTick, a, 0)
+}
+
+// check runs every invariant once, returning the failing check's name and
+// error.
+func (a *auditor) check(now mem.Cycle) (string, error) {
+	s := a.s
+	if s.dap != nil {
+		if err := s.dap.AuditCredits(); err != nil {
+			return "dap-credits", err
 		}
-		if au, ok := s.Ctrl.(auditable); ok {
-			if err := au.AuditInvariants(); err != nil {
-				fail("cache-metadata", err)
-				return
-			}
-		}
-		if err := s.CPU.AuditInvariants(); err != nil {
-			fail("cpu-structure", err)
-			return
-		}
-		dt := float64(s.Eng.Now()-lastCycle) + reservationHorizon
-		for i, d := range devs {
-			cas := d.Stats().CAS()
-			delta := float64(cas - lastCAS[i])
-			if allowed := mem.AccessesPerCycle(d.Cfg.PeakGBps())*dt + 8; delta > allowed {
-				fail("bandwidth-ceiling", fmt.Errorf(
-					"%s delivered %.0f lines in a %.0f-cycle window, peak allows %.0f",
-					d.Cfg.Name, delta, dt, allowed))
-				return
-			}
-			lastCAS[i] = cas
-		}
-		lastCycle = s.Eng.Now()
-		s.Eng.After(every, tick)
 	}
-	s.Eng.After(every, tick)
+	if au, ok := s.Ctrl.(auditable); ok {
+		if err := au.AuditInvariants(); err != nil {
+			return "cache-metadata", err
+		}
+	}
+	if err := s.CPU.AuditInvariants(); err != nil {
+		return "cpu-structure", err
+	}
+	dt := float64(now-a.lastCycle) + reservationHorizon
+	for i, d := range a.devs {
+		cas := d.Stats().CAS()
+		delta := float64(cas - a.lastCAS[i])
+		if allowed := mem.AccessesPerCycle(d.Cfg.PeakGBps())*dt + 8; delta > allowed {
+			return "bandwidth-ceiling", fmt.Errorf(
+				"%s delivered %.0f lines in a %.0f-cycle window, peak allows %.0f",
+				d.Cfg.Name, delta, dt, allowed)
+		}
+		a.lastCAS[i] = cas
+	}
+	a.lastCycle = now
+	return "", nil
 }

@@ -321,23 +321,29 @@ func (c *Checkpoints) drop(key string) {
 	c.mu.Unlock()
 }
 
-// restoreOrWarm brings a freshly built, reseeded system to the post-warmup
+// restoreOrWarm brings s, freshly built and reseeded, to the post-warmup
 // state: restored from the shared checkpoint when possible, by running the
-// warmup otherwise. Both paths leave bit-identical state, so the choice is
+// warmup otherwise. A failed restore may already have applied some
+// sections (the cpu section loads before a damaged controller section is
+// found), so the fallback warms a newly built, reseeded system and returns
+// it in place of s. Both paths leave bit-identical state, so the choice is
 // purely a wall-clock optimization.
-func (c *Checkpoints) restoreOrWarm(s *System, cfg Config, mix workload.Mix, seed uint64) {
+func (c *Checkpoints) restoreOrWarm(s *System, cfg Config, mix workload.Mix, seed uint64) *System {
 	key := WarmKey(cfg, mix, seed)
 	blob, err := c.get(key, cfg, mix, seed)
 	if err == nil {
 		if err = s.LoadCheckpoint(blob); err == nil {
-			return
+			return s
 		}
 	}
 	// Version skew or semantic damage behind a valid store envelope: drop
-	// the blob so the next run rebuilds it, and warm this system directly.
+	// the blob so the next run rebuilds it, and warm a fresh system.
 	c.loadFails.Add(1)
 	c.drop(key)
+	s = Build(cfg, mix)
+	s.reseed(mix, seed)
 	s.Warmup()
+	return s
 }
 
 // RunMixCkpt is RunMix resuming from a shared warmup checkpoint.
@@ -353,7 +359,7 @@ func RunSeededCkpt(cfg Config, mix workload.Mix, seed uint64, ck *Checkpoints) R
 	}
 	s := Build(cfg, mix)
 	s.reseed(mix, seed)
-	ck.restoreOrWarm(s, cfg, mix, seed)
+	s = ck.restoreOrWarm(s, cfg, mix, seed)
 	if cfg.Sampled {
 		return s.runSampled(ck)
 	}
@@ -371,7 +377,7 @@ func RunSeededCkptE(cfg Config, mix workload.Mix, seed uint64, ck *Checkpoints) 
 		return Result{}, err
 	}
 	s.reseed(mix, seed)
-	ck.restoreOrWarm(s, cfg, mix, seed)
+	s = ck.restoreOrWarm(s, cfg, mix, seed)
 	var r Result
 	if cfg.Sampled {
 		r = s.runSampled(ck)

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"dap/internal/ckpt"
 	"dap/internal/dram"
 	"dap/internal/faultinject"
 	"dap/internal/workload"
@@ -27,19 +28,29 @@ func tinyCkptCfg(arch Arch, pol Policy) Config {
 // TestCheckpointResumeBitIdentical is the tentpole correctness claim: for
 // each architecture, a run resumed from a warmup checkpoint is byte-identical
 // to the same run warmed directly. DAP is enabled so the dap section (and on
-// sectored the tag cache + footprint state) is exercised too.
+// sectored the tag cache + footprint state) is exercised too. The
+// sectored-lbm case warms write-heavy parboil-lbm past a shrunken footprint
+// table's entry budget, so the checkpoint holds a table that has evicted
+// entries.
 func TestCheckpointResumeBitIdentical(t *testing.T) {
-	mix := quickMix()
+	lbm, _ := workload.ByName("parboil-lbm")
 	for _, tc := range []struct {
-		name string
-		arch Arch
+		name      string
+		arch      Arch
+		mix       workload.Mix
+		fpEntries int // footprint table budget (0 = default)
 	}{
-		{"sectored", SectoredDRAM},
-		{"alloy", AlloyCache},
-		{"edram", SectoredEDRAM},
+		{"sectored", SectoredDRAM, quickMix(), 0},
+		{"alloy", AlloyCache, quickMix(), 0},
+		{"edram", SectoredEDRAM, quickMix(), 0},
+		{"sectored-lbm", SectoredDRAM, workload.RateMix(lbm, 8), 1024},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tinyCkptCfg(tc.arch, DAP)
+			if tc.fpEntries > 0 {
+				cfg.Sectored.FootprintEntries = tc.fpEntries
+			}
+			mix := tc.mix
 			straight := RunSeeded(cfg, mix, 7)
 			ck := MemCheckpoints()
 			resumed := RunSeededCkpt(cfg, mix, 7, ck)
@@ -51,6 +62,43 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 				t.Fatalf("builds = %d, want 1", got)
 			}
 		})
+	}
+}
+
+// TestCheckpointFallbackIsBitIdentical: a checkpoint whose cpu section
+// restores but whose controller section is damaged falls back to warming,
+// and the fallback run must equal an uninterrupted one although the failed
+// load had already applied the cpu section.
+func TestCheckpointFallbackIsBitIdentical(t *testing.T) {
+	cfg := tinyCkptCfg(SectoredDRAM, DAP)
+	mix := quickMix()
+	warm := Build(cfg, mix)
+	warm.reseed(mix, 7)
+	warm.Warmup()
+	w := ckpt.NewWriter()
+	if err := warm.CPU.SaveState(w.Section("cpu")); err != nil {
+		t.Fatal(err)
+	}
+	w.Section("ctrl.sectored").U32(1) // truncated controller state
+	ck, err := NewCheckpoints(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ck.st.Put(WarmKey(cfg, mix, 7), w.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+
+	resumed, err := RunSeededCkptE(cfg, mix, 7, ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ck.Stats().LoadFailures; got != 1 {
+		t.Fatalf("load failures = %d, want 1", got)
+	}
+	straight := RunSeeded(cfg, mix, 7)
+	if !reflect.DeepEqual(straight.Run, resumed.Run) {
+		t.Fatalf("fallback run diverged from straight run: cycles %d vs %d",
+			resumed.Cycles, straight.Cycles)
 	}
 }
 

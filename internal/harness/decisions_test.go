@@ -189,16 +189,3 @@ func TestFigGapReportsAllArchitectures(t *testing.T) {
 		}
 	}
 }
-
-// TestDecisionsConfigValidation covers the recorder knob cross-check.
-func TestDecisionsConfigValidation(t *testing.T) {
-	cfg := Quick()
-	cfg.DecisionsCap = 64 // without Decisions
-	err := cfg.Validate()
-	if err == nil {
-		t.Fatal("expected a validation error")
-	}
-	if !strings.Contains(err.Error(), "DecisionsCap") {
-		t.Errorf("validation error missing DecisionsCap: %v", err)
-	}
-}

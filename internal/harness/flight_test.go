@@ -25,7 +25,6 @@ func TestObservabilityIsBitIdenticalWithFlight(t *testing.T) {
 
 	inst := base
 	inst.Flight = true
-	inst.FlightEvery = 10_000
 	inst.Trace = true
 	inst.MetricsEvery = 5_000
 
@@ -64,9 +63,7 @@ func TestFlightRecorderCapturesStall(t *testing.T) {
 	cfg.Policy = DAP
 	cfg.WatchdogEvents = 10_000
 	cfg.Faults = &faultinject.Plan{DropReadEvery: 1, DropReadAfter: 1000}
-	cfg.Flight = true
-	cfg.FlightEvery = 2_000
-	cfg.FlightCap = 32
+	cfg.Flight = true // samples every WatchdogEvents/8 = 1250 events
 
 	r, err := RunMixE(cfg, quickMix())
 	if err == nil {
@@ -75,8 +72,8 @@ func TestFlightRecorderCapturesStall(t *testing.T) {
 	if r.Flight == nil {
 		t.Fatal("aborted run has no flight recording")
 	}
-	if n := r.Flight.Len(); n == 0 || n > 32 {
-		t.Fatalf("flight ring has %d entries, want 1..32", n)
+	if n := r.Flight.Len(); n == 0 || n > 256 {
+		t.Fatalf("flight ring has %d entries, want 1..256", n)
 	}
 	entries := r.Flight.Entries()
 	if last := entries[len(entries)-1].Note; !strings.HasPrefix(last, "run-aborted") {

@@ -116,18 +116,15 @@ func TestObservabilityOnAllArchitectures(t *testing.T) {
 	}
 }
 
-// TestObsConfigValidation covers the new knob cross-checks.
+// TestObsConfigValidation covers the observer knob cross-check.
 func TestObsConfigValidation(t *testing.T) {
 	cfg := Quick()
-	cfg.MetricsCap = 16 // without MetricsEvery
 	cfg.TraceSample = 2 // without Trace
 	err := cfg.Validate()
 	if err == nil {
 		t.Fatal("expected validation errors")
 	}
-	for _, want := range []string{"MetricsCap", "TraceSample"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("validation error missing %s: %v", want, err)
-		}
+	if !strings.Contains(err.Error(), "TraceSample") {
+		t.Errorf("validation error missing TraceSample: %v", err)
 	}
 }

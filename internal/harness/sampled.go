@@ -11,14 +11,32 @@ import (
 
 // SMARTS-style interval sampling: the timed region is replaced by a train
 // of short measured intervals separated by functional fast-forward. Each
-// interval is a complete mini-run (every core retires SampleInterval
-// instructions under full timing); between intervals the cores fast-forward
-// SampleFF accesses functionally — same warmup machinery, no engine time —
-// so the caches and predictors track the workload while the detailed model
-// is off. Per-interval aggregate IPC, delivered bandwidth and MS$ hit ratio
-// feed a Student-t 95% confidence interval; once the IPC half-width drops
-// under SampleCI of the mean the run stops early. If SampleMax intervals
-// don't get there, the harness falls back to the full timed run.
+// interval is a complete mini-run (every core retires MeasureInstr/50
+// instructions, at least sampleMinInterval, under full timing); between
+// intervals the cores fast-forward sampleFF accesses functionally — same
+// warmup machinery, no engine time — so the caches and predictors track the
+// workload while the detailed model is off. Per-interval aggregate IPC,
+// delivered bandwidth and MS$ hit ratio feed a Student-t 95% confidence
+// interval; once the IPC half-width drops under sampleCI of the mean (after
+// at least sampleMinN intervals) the run stops early. If sampleMaxN
+// intervals don't get there, the harness falls back to the full timed run.
+const (
+	// sampleMinInterval floors the measured-interval length: below ~25k
+	// instructions the empty queues each interval starts from (a
+	// cold-start optimism) bias IPC visibly.
+	sampleMinInterval = 25_000
+	// sampleFF is the fast-forward length in accesses per core. Functional
+	// warm costs about as much per access as detailed simulation, so the
+	// fast-forward is decorrelation, not savings; 10k accesses per core is
+	// enough to shuffle queue phase between intervals without dominating
+	// the sampled run's wall clock.
+	sampleFF = 10_000
+	// sampleMinN and sampleMaxN bound the number of measured intervals.
+	sampleMinN, sampleMaxN = 8, 40
+	// sampleCI is the convergence target: the 95% confidence half-width of
+	// aggregate IPC as a fraction of its mean.
+	sampleCI = 0.05
+)
 
 // MetricCI is a sampled metric: the interval mean with its 95% confidence
 // half-width over N intervals.
@@ -88,43 +106,6 @@ func metricCI(vals []float64) MetricCI {
 	return MetricCI{Mean: mean, Half: tCrit95(n-1) * sd / math.Sqrt(float64(n)), N: n}
 }
 
-// sampleParams resolves the sampling knobs to effective values.
-func sampleParams(cfg Config) (interval uint64, ff, minN, maxN int, target float64) {
-	interval = cfg.SampleInterval
-	if interval == 0 {
-		// The floor matters: below ~25k instructions the empty queues each
-		// interval starts from (a cold-start optimism) bias IPC visibly.
-		interval = cfg.MeasureInstr / 50
-		if interval < 25_000 {
-			interval = 25_000
-		}
-	}
-	ff = cfg.SampleFF
-	if ff == 0 {
-		// Functional warm costs about as much per access as detailed
-		// simulation, so the fast-forward is decorrelation, not savings;
-		// 10k accesses per core is enough to shuffle queue phase between
-		// intervals without dominating the sampled run's wall clock.
-		ff = 10_000
-	}
-	minN = cfg.SampleMin
-	if minN < 2 {
-		minN = 8
-	}
-	maxN = cfg.SampleMax
-	if maxN == 0 {
-		maxN = 40
-	}
-	if maxN < minN {
-		maxN = minN
-	}
-	target = cfg.SampleCI
-	if target == 0 {
-		target = 0.05
-	}
-	return
-}
-
 // runSampled executes the interval-sampling estimator on an already-warm
 // system. When the estimator fails to converge it falls back to a full
 // timed run on a fresh system (resuming from ck when available), returning
@@ -139,7 +120,7 @@ func (s *System) runSampled(ck *Checkpoints) Result {
 	ns := Build(cfg, s.mix)
 	ns.reseed(s.mix, s.seed)
 	if ck != nil {
-		ck.restoreOrWarm(ns, cfg, s.mix, s.seed)
+		ns = ck.restoreOrWarm(ns, cfg, s.mix, s.seed)
 	} else {
 		ns.Warmup()
 	}
@@ -156,7 +137,7 @@ func (s *System) runSampled(ck *Checkpoints) Result {
 // so the caller surfaces the error instead of paying for a doomed full run.
 func (s *System) sampleIntervals() (Result, bool) {
 	cfg := s.Cfg
-	interval, ff, minN, maxN, target := sampleParams(cfg)
+	interval := max(cfg.MeasureInstr/50, sampleMinInterval)
 	s.Ctrl.ResetStats()
 	s.MM.ResetStats()
 	if s.sectored != nil {
@@ -168,12 +149,7 @@ func (s *System) sampleIntervals() (Result, bool) {
 	if limit == 0 {
 		limit = mem.Cycle(400 * cfg.MeasureInstr)
 	}
-	if wd := cfg.WatchdogEvents; wd >= 0 {
-		if wd == 0 {
-			wd = DefaultWatchdogEvents
-		}
-		s.Eng.SetWatchdog(wd, s.CPU.ProgressFingerprint, s.snapshot)
-	}
+	s.armWatchdog(nil)
 	run := telemetry.Runs.Start(telemetry.RunInfo{
 		Mix:         s.mixName,
 		Arch:        cfg.Arch.String(),
@@ -183,7 +159,7 @@ func (s *System) sampleIntervals() (Result, bool) {
 		Horizon:     uint64(limit),
 	})
 
-	rep := &SamplingReport{IntervalInstr: interval, FFAccesses: ff}
+	rep := &SamplingReport{IntervalInstr: interval, FFAccesses: sampleFF}
 	var ipcs, bws, hrs []float64
 	var coreAgg []stats.CoreStats
 	var totalCycles mem.Cycle
@@ -191,9 +167,9 @@ func (s *System) sampleIntervals() (Result, bool) {
 	ms0 := *s.Ctrl.MSStats()
 	var cas0 uint64
 
-	for n := 0; n < maxN; n++ {
+	for n := 0; n < sampleMaxN; n++ {
 		if n > 0 {
-			s.CPU.Warm(ff)
+			s.CPU.Warm(sampleFF)
 		}
 		c0 := s.Eng.Now()
 		s.CPU.Start(interval)
@@ -247,24 +223,25 @@ func (s *System) sampleIntervals() (Result, bool) {
 			if ci.Mean <= 0 {
 				continue
 			}
-			if len(ipcs) >= minN && ci.Half/ci.Mean <= target {
+			if len(ipcs) >= sampleMinN && ci.Half/ci.Mean <= sampleCI {
 				rep.Converged = true
 				break
 			}
 			// Predictive abandonment: the half-width shrinks as t(n)/sqrt(n),
 			// so the interval count this variance needs is
-			// (t(maxN)·sd / (target·mean))². A run that provably cannot
-			// converge within maxN intervals stops paying for them now and
-			// goes straight to the full-run fallback. Before minN the sample
-			// standard deviation is still noisy, so require a 2x overshoot.
+			// (t(sampleMaxN)·sd / (sampleCI·mean))². A run that provably
+			// cannot converge within sampleMaxN intervals stops paying for
+			// them now and goes straight to the full-run fallback. Before
+			// sampleMinN the sample standard deviation is still noisy, so
+			// require a 2x overshoot.
 			sd := ci.Half * math.Sqrt(float64(ci.N)) / tCrit95(ci.N-1)
-			need := tCrit95(maxN-1) * sd / (target * ci.Mean)
+			need := tCrit95(sampleMaxN-1) * sd / (sampleCI * ci.Mean)
 			need *= need
 			headroom := 1.0
-			if len(ipcs) < minN {
+			if len(ipcs) < sampleMinN {
 				headroom = 2.0
 			}
-			if need > headroom*float64(maxN) {
+			if need > headroom*float64(sampleMaxN) {
 				break
 			}
 		}

@@ -129,34 +129,28 @@ type Config struct {
 	// MetricsEvery enables the windowed metrics sampler: every MetricsEvery
 	// cycles the run samples DAP credits, technique activations, per-channel
 	// bandwidth and queue depth, MS$ hit and tag-cache miss ratios, and
-	// per-core IPC into Result.Metrics. 0 disables sampling. Like the
-	// auditor, the sampler is read-only and leaves stats.Run bit-identical.
+	// per-core IPC into Result.Metrics, which keeps the newest 4096
+	// windows. 0 disables sampling. Like the auditor, the sampler is
+	// read-only and leaves stats.Run bit-identical.
 	MetricsEvery mem.Cycle
-	// MetricsCap bounds the sampler's ring buffer in rows (0 = 4096; old
-	// windows are evicted first).
-	MetricsCap int
 	// Trace enables the request-lifecycle tracer: sampled L3 misses are
 	// stamped through queue → tag/metadata probe → DAP decision → service →
 	// response and collected in Result.Trace (Chrome trace JSON export)
-	// and Result.Breakdown (phase-latency histograms).
+	// and Result.Breakdown (phase-latency histograms). The span buffer
+	// holds 65536 spans; later spans are dropped.
 	Trace bool
 	// TraceSample traces every N-th L3 read miss (≤ 1 traces all).
 	TraceSample int
-	// TraceCap bounds the span buffer (0 = 65536; later spans are dropped).
-	TraceCap int
 
-	// Flight enables the stall flight recorder: a bounded ring of recent
-	// engine-state summaries sampled every FlightEvery executed events,
-	// frozen into Result.Flight. When the run aborts (watchdog stall,
-	// deadlock, audit violation, injected fault) the recording turns the
-	// failure into a postmortem artifact; on a clean run it is simply
-	// discarded. Like every observer it is strictly read-only: runs with
+	// Flight enables the stall flight recorder: a ring of the newest 256
+	// engine-state summaries, sampled on the watchdog's periodic check
+	// (every WatchdogEvents/8 executed events, DefaultWatchdogEvents/8 when
+	// the watchdog is disabled) and frozen into Result.Flight. When the run
+	// aborts (watchdog stall, deadlock, audit violation, injected fault)
+	// the recording turns the failure into a postmortem artifact; on a
+	// clean run it is simply discarded. Like every observer it is strictly read-only: runs with
 	// the recorder on yield a bit-identical stats.Run.
 	Flight bool
-	// FlightEvery is the sampling stride in executed events (0 = 65536).
-	FlightEvery int
-	// FlightCap bounds the ring in entries (0 = 192; oldest evicted first).
-	FlightCap int
 
 	// Decisions enables the partitioner decision recorder: every DAP window
 	// rollover captures a versioned record of the solver's inputs (window
@@ -164,32 +158,18 @@ type Config struct {
 	// fractions, and a counterfactual optimality-gap audit against the
 	// Equation 3 bound; baseline policies (SBD, BATMAN) log their own
 	// adjustment events into the same stream. Collected in
-	// Result.Decisions. Strictly read-only: recording leaves stats.Run
-	// bit-identical (TestDecisionRecordingIsBitIdentical).
+	// Result.Decisions, which keeps the newest 65536 records. Strictly
+	// read-only: recording leaves stats.Run bit-identical
+	// (TestDecisionRecordingIsBitIdentical).
 	Decisions bool
-	// DecisionsCap bounds the decision ring in records (0 = 65536; oldest
-	// evicted first).
-	DecisionsCap int
 
 	// Sampled enables SMARTS-style interval sampling: instead of one long
 	// timed region, the run alternates functional fast-forward with short
 	// measured intervals and reports per-metric means with measured 95%
-	// confidence intervals (Result.Sampling). If the intervals have not
-	// converged to SampleCI after SampleMax of them, the harness falls back
+	// confidence intervals (Result.Sampling). If the intervals do not
+	// converge within the bounds sampled.go fixes, the harness falls back
 	// to the full timed run.
 	Sampled bool
-	// SampleInterval is the measured-interval length in instructions per
-	// core (0 = MeasureInstr/50, at least 25_000).
-	SampleInterval uint64
-	// SampleFF is the functional fast-forward length between measured
-	// intervals, in accesses per core (0 = 10_000).
-	SampleFF int
-	// SampleMin and SampleMax bound the number of measured intervals
-	// (0 = 8 and 40 respectively).
-	SampleMin, SampleMax int
-	// SampleCI is the convergence target: the 95% confidence half-width of
-	// aggregate IPC as a fraction of its mean (0 = 0.05).
-	SampleCI float64
 }
 
 // DefaultWatchdogEvents is the watchdog deadline when Config.WatchdogEvents
@@ -420,13 +400,13 @@ func Build(cfg Config, mix workload.Mix) *System {
 	s.CPU.SetStreams(mix.Streams())
 
 	if cfg.Trace {
-		s.Trace = obs.NewTracer(s.Eng.Clock(), cfg.TraceSample, cfg.TraceCap)
+		s.Trace = obs.NewTracer(s.Eng.Clock(), cfg.TraceSample, 0)
 		s.setTracer(s.Trace)
 	}
 	if cfg.Decisions {
 		// Wired before the sampler so registerMetrics can export the live
 		// optimality gap as a dap.gap probe.
-		s.decRec = core.NewDecisionRecorder(cfg.DecisionsCap)
+		s.decRec = core.NewDecisionRecorder(0)
 		if s.dap != nil {
 			s.dap.SetRecorder(s.decRec)
 		}
@@ -435,12 +415,12 @@ func Build(cfg Config, mix workload.Mix) *System {
 		}
 	}
 	if cfg.MetricsEvery > 0 {
-		s.Metrics = obs.NewSampler(s.Eng.Clock(), s.Eng.After, s.Eng.Pending,
-			cfg.MetricsEvery, cfg.MetricsCap)
+		s.Metrics = obs.NewSampler(s.Eng.Clock(), s.Eng.AfterArg, s.Eng.Pending,
+			cfg.MetricsEvery, 0)
 		s.registerMetrics()
 	}
 	if cfg.Flight {
-		s.Flight = obs.NewFlightRecorder(cfg.FlightCap)
+		s.Flight = obs.NewFlightRecorder(0)
 	}
 	return s
 }
@@ -572,26 +552,18 @@ func (s *System) Measure() Result {
 	if s.Metrics != nil {
 		s.Metrics.Start()
 	}
-	if wd := cfg.WatchdogEvents; wd >= 0 {
-		if wd == 0 {
-			wd = DefaultWatchdogEvents
-		}
-		s.Eng.SetWatchdog(wd, s.CPU.ProgressFingerprint, s.snapshot)
-	}
 	if cfg.Audit {
 		s.startAudit()
 	}
+	var sample func(mem.Cycle)
 	if s.Flight != nil {
-		every := cfg.FlightEvery
-		if every == 0 {
-			every = 65536
-		}
-		s.Eng.SetFlightSampler(every, s.flightSample)
+		sample = s.flightSample
 		s.Flight.Addf(s.Eng.Now(), "measure-start mix=%s arch=%s policy=%s horizon=%d events",
 			s.mixName, cfg.Arch, cfg.Policy, limit)
 	}
+	s.armWatchdog(sample)
 	if s.inj != nil && s.dap != nil {
-		s.inj.ArmCreditFault(s.Eng.After, s.dap)
+		s.inj.ArmCreditFault(s.Eng.AfterArg, s.dap)
 	}
 	s.Eng.RunWhile(func() bool {
 		return !s.CPU.Done() && s.Eng.Now()-start < limit
@@ -647,7 +619,20 @@ func (s *System) Measure() Result {
 	return r
 }
 
-// flightSample is the engine's periodic flight-recorder feed: one compact
+// armWatchdog arms the engine's periodic check for the timed region: stall
+// detection unless Config.WatchdogEvents is negative, and sample (the
+// flight recorder's feed, when non-nil) on the same stride.
+func (s *System) armWatchdog(sample func(mem.Cycle)) {
+	wd := s.Cfg.WatchdogEvents
+	w := sim.Watchdog{Events: wd, Stall: wd >= 0,
+		Progress: s.CPU.ProgressFingerprint, Snapshot: s.snapshot, Sample: sample}
+	if wd <= 0 {
+		w.Events = DefaultWatchdogEvents
+	}
+	s.Eng.SetWatchdog(w)
+}
+
+// flightSample is the watchdog's periodic flight-recorder feed: one compact
 // line of system state per sample — enough to see queue growth, credit
 // drift or frozen CPU progress across the ring's history without the cost
 // of a full snapshot per sample.

@@ -64,23 +64,9 @@ func (c *Config) Validate() error {
 		errs.Sub("Faults", c.Faults.Validate())
 	}
 
-	errs.NonNegative("MetricsCap", c.MetricsCap)
 	errs.NonNegative("TraceSample", c.TraceSample)
-	errs.NonNegative("TraceCap", c.TraceCap)
-	if c.MetricsCap > 0 && c.MetricsEvery == 0 {
-		errs.Addf("MetricsCap", c.MetricsCap, "set without MetricsEvery: the sampler would never run")
-	}
-	if (c.TraceSample > 0 || c.TraceCap > 0) && !c.Trace {
-		errs.Addf("TraceSample", c.TraceSample, "trace knobs set without Trace: the tracer would never run")
-	}
-	errs.NonNegative("FlightEvery", c.FlightEvery)
-	errs.NonNegative("FlightCap", c.FlightCap)
-	if (c.FlightEvery > 0 || c.FlightCap > 0) && !c.Flight {
-		errs.Addf("FlightEvery", c.FlightEvery, "flight knobs set without Flight: the recorder would never run")
-	}
-	errs.NonNegative("DecisionsCap", c.DecisionsCap)
-	if c.DecisionsCap > 0 && !c.Decisions {
-		errs.Addf("DecisionsCap", c.DecisionsCap, "set without Decisions: the recorder would never run")
+	if c.TraceSample > 0 && !c.Trace {
+		errs.Addf("TraceSample", c.TraceSample, "set without Trace: the tracer would never run")
 	}
 	return errs.Err()
 }

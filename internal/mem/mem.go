@@ -14,6 +14,21 @@ type Addr uint64
 // Cycle is a point in simulated time, measured in CPU cycles at 4 GHz.
 type Cycle uint64
 
+// Handler is a typed event callback, the simulation engine's only event
+// form: ctx is usually the receiving component (a pointer, so boxing it in
+// the interface never allocates), v is a packed value argument, and now is
+// the cycle the event runs at. Scheduling a top-level Handler costs no
+// closure allocation. It lives here rather than in the engine so observers
+// (internal/obs, internal/faultinject) can schedule events without
+// importing it.
+type Handler func(ctx any, v uint64, now Cycle)
+
+// Call is the Handler for a callback a component already holds: ctx is a
+// func(Cycle), invoked with the event's cycle. A func value boxes into the
+// interface without allocating, so delivering a request's Done callback
+// this way is allocation-free.
+func Call(ctx any, _ uint64, now Cycle) { ctx.(func(Cycle))(now) }
+
 // Standard geometry constants used throughout the simulator.
 const (
 	// LineBytes is the transfer unit between all levels (64 B blocks).

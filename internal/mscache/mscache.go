@@ -84,8 +84,10 @@ func (f *footprintTable) predict(sector uint64) uint64 {
 }
 
 // record stores a sector's observed footprint. At the entry budget a new
-// sector deterministically evicts whatever occupies its home slot; the
-// eviction never empties a slot, so other keys' probe chains stay intact.
+// sector deterministically evicts whatever occupies its home slot, and is
+// not recorded when that slot is empty: filling it would raise n past the
+// budget. The eviction never empties a slot, so other keys' probe chains
+// stay intact.
 func (f *footprintTable) record(sector uint64, mask uint64) {
 	k := sector + 1
 	i := f.home(sector)
@@ -96,9 +98,8 @@ func (f *footprintTable) record(sector uint64, mask uint64) {
 			return
 		case 0:
 			if f.n >= f.cap {
-				i = f.home(sector)
-				if f.keys[i] == 0 {
-					f.n++ // the home slot itself was the empty one
+				if i = f.home(sector); f.keys[i] == 0 {
+					return
 				}
 			} else {
 				f.n++

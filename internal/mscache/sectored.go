@@ -274,21 +274,24 @@ func (s *Sectored) StartBATMAN() {
 	if s.BATMANEpoch == 0 {
 		s.BATMANEpoch = 50000
 	}
-	var tick func()
-	tick = func() {
-		from, to := s.BATMAN.Epoch()
-		for set := from; set < to; set++ {
-			s.disableSet(set)
-		}
-		if s.decRec != nil {
-			s.decRec.AddPolicyEvent(core.PolicyEvent{
-				Cycle: s.eng.Now(), Policy: "batman",
-				Epoch: s.BATMAN.Epochs, DisabledSets: s.BATMAN.DisabledSets(),
-			})
-		}
-		s.eng.After(s.BATMANEpoch, tick)
+	s.eng.AfterArg(s.BATMANEpoch, batmanTick, s, 0)
+}
+
+// batmanTick is one BATMAN epoch: disable the sets the policy picked, log
+// the epoch, and schedule the next one.
+func batmanTick(ctx any, _ uint64, now mem.Cycle) {
+	s := ctx.(*Sectored)
+	from, to := s.BATMAN.Epoch()
+	for set := from; set < to; set++ {
+		s.disableSet(set)
 	}
-	s.eng.After(s.BATMANEpoch, tick)
+	if s.decRec != nil {
+		s.decRec.AddPolicyEvent(core.PolicyEvent{
+			Cycle: now, Policy: "batman",
+			Epoch: s.BATMAN.Epochs, DisabledSets: s.BATMAN.DisabledSets(),
+		})
+	}
+	s.eng.AfterArg(s.BATMANEpoch, batmanTick, s, 0)
 }
 
 // disableSet cleans and invalidates one cache set (BATMAN).

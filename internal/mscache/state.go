@@ -2,7 +2,6 @@ package mscache
 
 import (
 	"fmt"
-	"sort"
 
 	"dap/internal/ckpt"
 )
@@ -102,23 +101,25 @@ func (e *EDRAM) LoadState(d *ckpt.Dec) error {
 	return nil
 }
 
-// saveFootprint serializes the footprint history table sorted by sector so
-// the byte stream is deterministic despite map iteration order.
+// saveFootprint serializes the footprint history table slot for slot as
+// (slot, sector, mask) in slot order. Linear probing's layout depends on
+// insertion order, and at the budget a new sector evicts its home slot's
+// occupant, so re-inserting the entries would not rebuild the table an
+// uninterrupted run holds; restoring each slot does.
 func saveFootprint(e *ckpt.Enc, f *footprintTable) {
-	idx := make([]int, 0, f.n)
+	e.U32(uint32(f.n))
 	for i, k := range f.keys {
 		if k != 0 {
-			idx = append(idx, i)
+			e.U32(uint32(i))
+			e.U64(k - 1)
+			e.U64(f.vals[i])
 		}
-	}
-	sort.Slice(idx, func(a, b int) bool { return f.keys[idx[a]] < f.keys[idx[b]] })
-	e.U32(uint32(len(idx)))
-	for _, i := range idx {
-		e.U64(f.keys[i] - 1)
-		e.U64(f.vals[i])
 	}
 }
 
+// loadFootprint restores a saveFootprint table, rejecting more entries than
+// the budget, a slot outside the table, a slot given twice, and the one
+// sector (2^64-1) whose key would mark an empty slot.
 func loadFootprint(d *ckpt.Dec, f *footprintTable) error {
 	n := int(d.U32())
 	if err := d.Err(); err != nil {
@@ -127,13 +128,23 @@ func loadFootprint(d *ckpt.Dec, f *footprintTable) error {
 	if n > f.cap {
 		return fmt.Errorf("mscache: checkpoint footprint table has %d entries, cap %d", n, f.cap)
 	}
-	for i := range f.keys {
-		f.keys[i] = 0
+	clear(f.keys)
+	clear(f.vals)
+	f.n = n
+	for j := 0; j < n; j++ {
+		slot, k, v := uint64(d.U32()), d.U64()+1, d.U64()
+		if err := d.Err(); err != nil {
+			return err
+		}
+		switch {
+		case slot >= uint64(len(f.keys)):
+			return fmt.Errorf("mscache: checkpoint footprint slot %d outside %d-slot table", slot, len(f.keys))
+		case f.keys[slot] != 0:
+			return fmt.Errorf("mscache: checkpoint footprint slot %d given twice", slot)
+		case k == 0:
+			return fmt.Errorf("mscache: checkpoint footprint sector out of range in slot %d", slot)
+		}
+		f.keys[slot], f.vals[slot] = k, v
 	}
-	f.n = 0
-	for i := 0; i < n; i++ {
-		k := d.U64()
-		f.record(k, d.U64())
-	}
-	return d.Err()
+	return nil
 }

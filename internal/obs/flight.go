@@ -9,20 +9,16 @@ import (
 // FlightRecorder keeps a bounded ring of recent engine-state summaries for
 // one running simulation — the "black box" that turns a watchdog stall, an
 // audit violation or a faultinject abort into a postmortem artifact. The
-// simulation samples into it periodically (see sim.Engine.SetFlightSampler)
-// and at lifecycle milestones; on a failure the harness freezes the ring
-// into a FlightDump.
+// simulation samples into it on the watchdog's periodic check (see
+// sim.Watchdog.Sample) and at lifecycle milestones; on a failure the
+// harness freezes the ring into a FlightDump.
 //
 // Like every observer in this package the recorder is strictly read-only
 // with respect to simulated state: it stores strings the simulation already
 // produced, is single-goroutine (the engine's), and a nil *FlightRecorder
 // is a valid disabled recorder whose methods are no-ops.
 type FlightRecorder struct {
-	entries []FlightEntry
-	max     int
-	head    int // next write position once the ring is full
-	full    bool
-	dropped uint64
+	ring *Ring[FlightEntry]
 }
 
 // FlightEntry is one recorded state summary.
@@ -37,7 +33,7 @@ func NewFlightRecorder(capacity int) *FlightRecorder {
 	if capacity <= 0 {
 		capacity = 256
 	}
-	return &FlightRecorder{max: capacity}
+	return &FlightRecorder{ring: NewRing[FlightEntry](capacity)}
 }
 
 // Add records one entry, evicting the oldest when the ring is full.
@@ -45,15 +41,7 @@ func (fr *FlightRecorder) Add(cycle mem.Cycle, note string) {
 	if fr == nil {
 		return
 	}
-	e := FlightEntry{Cycle: uint64(cycle), Note: note}
-	if len(fr.entries) < fr.max {
-		fr.entries = append(fr.entries, e)
-		return
-	}
-	fr.entries[fr.head] = e
-	fr.head = (fr.head + 1) % fr.max
-	fr.full = true
-	fr.dropped++
+	fr.ring.Push(FlightEntry{Cycle: uint64(cycle), Note: note})
 }
 
 // Addf is Add with printf formatting.
@@ -69,7 +57,7 @@ func (fr *FlightRecorder) Len() int {
 	if fr == nil {
 		return 0
 	}
-	return len(fr.entries)
+	return fr.ring.Len()
 }
 
 // Dropped returns how many old entries were evicted by the ring.
@@ -77,22 +65,15 @@ func (fr *FlightRecorder) Dropped() uint64 {
 	if fr == nil {
 		return 0
 	}
-	return fr.dropped
+	return fr.ring.Evicted()
 }
 
 // Entries returns the retained entries oldest-first (a copy).
 func (fr *FlightRecorder) Entries() []FlightEntry {
-	if fr == nil || len(fr.entries) == 0 {
+	if fr.Len() == 0 {
 		return nil
 	}
-	out := make([]FlightEntry, 0, len(fr.entries))
-	if fr.full {
-		out = append(out, fr.entries[fr.head:]...)
-		out = append(out, fr.entries[:fr.head]...)
-	} else {
-		out = append(out, fr.entries...)
-	}
-	return out
+	return fr.ring.Slice()
 }
 
 // FlightDump is a frozen flight recording plus the failure context — what
@@ -116,7 +97,7 @@ func (fr *FlightRecorder) Dump(reason, snapshot string) *FlightDump {
 		Reason:   reason,
 		Snapshot: snapshot,
 		Entries:  fr.Entries(),
-		Dropped:  fr.dropped,
+		Dropped:  fr.Dropped(),
 	}
 }
 

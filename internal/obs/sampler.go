@@ -30,7 +30,7 @@ type probe struct {
 
 // Sampler is a windowed metrics sampler: a registry of read-only probes
 // polled every N cycles by a self-rescheduling simulation event, with the
-// resulting rows kept in a bounded ring buffer.
+// resulting rows kept in a bounded Ring.
 //
 // The sampler is a strict observer. Its tick event only reads probe values
 // and reschedules itself; because the engine orders events by (when, seq),
@@ -42,50 +42,49 @@ type probe struct {
 // (the engine is single-threaded).
 type Sampler struct {
 	now     func() mem.Cycle
-	after   func(mem.Cycle, func())
+	after   func(mem.Cycle, mem.Handler, any, uint64)
 	pending func() int
 	every   mem.Cycle
-	cap     int
 
 	probes []probe
 
 	// Window subscribers (OnWindow). The previous tick's raw readings are
 	// kept so each closed window's exported values (deltas/rates applied)
 	// can be handed out as they happen, not just at end of run.
-	subs     []func(Window)
-	lastTime mem.Cycle
-	lastRow  []float64
+	subs []func(Window)
+	last sampleRow
 
-	// Ring buffer of sampled rows. base holds the raw readings taken just
-	// before the oldest retained row (the Start snapshot initially, then
-	// each evicted row), so CounterKind/UtilKind deltas survive wrap-around.
-	baseTime mem.Cycle
-	base     []float64
-	times    []mem.Cycle
-	rows     [][]float64
-	head     int
-	n        int
-	dropped  uint64
+	// Sampled rows. base holds the raw readings taken just before the
+	// oldest retained row (the Start snapshot initially, then each evicted
+	// row), so CounterKind/UtilKind deltas survive wrap-around.
+	base sampleRow
+	rows *Ring[sampleRow]
 
 	started bool
 	stopped bool
 }
 
+// sampleRow is one tick's raw probe readings and the cycle they were taken.
+type sampleRow struct {
+	t   mem.Cycle
+	raw []float64
+}
+
 // NewSampler builds a sampler that polls its probes every `every` cycles.
 // now/after provide the simulation clock and event scheduler (sim.Engine's
-// Now and After); pending reports the number of other pending events and
+// Now and AfterArg); pending reports the number of other pending events and
 // may be nil — when set, the sampler stops rescheduling itself once it is
 // the only thing left in the event queue, so it never keeps a finished or
 // deadlocked simulation artificially alive. capacity bounds the ring
 // buffer (≤ 0 selects a default of 4096 rows).
-func NewSampler(now func() mem.Cycle, after func(mem.Cycle, func()), pending func() int, every mem.Cycle, capacity int) *Sampler {
+func NewSampler(now func() mem.Cycle, after func(mem.Cycle, mem.Handler, any, uint64), pending func() int, every mem.Cycle, capacity int) *Sampler {
 	if every <= 0 {
 		every = 1000
 	}
 	if capacity <= 0 {
 		capacity = 4096
 	}
-	return &Sampler{now: now, after: after, pending: pending, every: every, cap: capacity}
+	return &Sampler{now: now, after: after, pending: pending, every: every, rows: NewRing[sampleRow](capacity)}
 }
 
 // Every returns the sampling period in cycles.
@@ -168,20 +167,19 @@ func (s *Sampler) Start() {
 		return
 	}
 	s.started = true
-	s.baseTime = s.now()
-	s.base = s.read()
-	s.lastTime, s.lastRow = s.baseTime, s.base
-	s.after(s.every, s.tick)
+	s.base = sampleRow{s.now(), s.read()}
+	s.last = s.base
+	s.after(s.every, samplerTick, s, 0)
 }
 
 // Stop halts sampling; any pending tick becomes a no-op.
 func (s *Sampler) Stop() { s.stopped = true }
 
 // Samples returns the number of rows currently retained.
-func (s *Sampler) Samples() int { return s.n }
+func (s *Sampler) Samples() int { return s.rows.Len() }
 
 // Dropped returns how many old rows were evicted by ring wrap-around.
-func (s *Sampler) Dropped() uint64 { return s.dropped }
+func (s *Sampler) Dropped() uint64 { return s.rows.Evicted() }
 
 func (s *Sampler) read() []float64 {
 	row := make([]float64, len(s.probes))
@@ -190,6 +188,9 @@ func (s *Sampler) read() []float64 {
 	}
 	return row
 }
+
+// samplerTick is the sampler's self-rescheduling window event.
+func samplerTick(ctx any, _ uint64, _ mem.Cycle) { ctx.(*Sampler).tick() }
 
 func (s *Sampler) tick() {
 	if s.stopped {
@@ -201,47 +202,38 @@ func (s *Sampler) tick() {
 	if s.pending != nil && s.pending() == 0 {
 		return
 	}
-	s.after(s.every, s.tick)
-	t, row := s.now(), s.read()
+	s.after(s.every, samplerTick, s, 0)
+	r := sampleRow{s.now(), s.read()}
 	if len(s.subs) > 0 {
 		vals := make([]float64, len(s.probes))
-		s.exportRow(s.lastTime, s.lastRow, t, row, vals)
-		w := Window{Cycle: t, Values: vals}
+		s.exportRow(s.last, r, vals)
+		w := Window{Cycle: r.t, Values: vals}
 		for _, fn := range s.subs {
 			fn(w)
 		}
-		s.lastTime, s.lastRow = t, row
+		s.last = r
 	}
-	if s.n < s.cap {
-		s.times = append(s.times, t)
-		s.rows = append(s.rows, row)
-		s.n++
-		return
+	if old, evicted := s.rows.Push(r); evicted {
+		s.base = old
 	}
-	s.baseTime = s.times[s.head]
-	s.base = s.rows[s.head]
-	s.times[s.head] = t
-	s.rows[s.head] = row
-	s.head = (s.head + 1) % s.cap
-	s.dropped++
 }
 
 // exportRow computes one window's exported values from consecutive raw
 // readings: counter deltas, per-cycle rates, or raw gauges per probe kind.
-func (s *Sampler) exportRow(prevT mem.Cycle, prev []float64, t mem.Cycle, row, vals []float64) {
-	dt := float64(t - prevT)
+func (s *Sampler) exportRow(prev, cur sampleRow, vals []float64) {
+	dt := float64(cur.t - prev.t)
 	for j := range s.probes {
 		switch s.probes[j].kind {
 		case CounterKind:
-			vals[j] = (row[j] - prev[j]) * s.probes[j].scale
+			vals[j] = (cur.raw[j] - prev.raw[j]) * s.probes[j].scale
 		case UtilKind:
 			if dt > 0 {
-				vals[j] = (row[j] - prev[j]) / dt * s.probes[j].scale
+				vals[j] = (cur.raw[j] - prev.raw[j]) / dt * s.probes[j].scale
 			} else {
 				vals[j] = 0
 			}
 		default:
-			vals[j] = row[j] * s.probes[j].scale
+			vals[j] = cur.raw[j] * s.probes[j].scale
 		}
 	}
 }
@@ -249,14 +241,13 @@ func (s *Sampler) exportRow(prevT mem.Cycle, prev []float64, t mem.Cycle, row, v
 // export walks the retained rows oldest-first, yielding the sample time and
 // the per-probe exported values (deltas/rates already applied).
 func (s *Sampler) export(emit func(t mem.Cycle, vals []float64)) {
-	prevT, prev := s.baseTime, s.base
+	prev := s.base
 	vals := make([]float64, len(s.probes))
-	for i := 0; i < s.n; i++ {
-		idx := (s.head + i) % s.cap
-		t, row := s.times[idx], s.rows[idx]
-		s.exportRow(prevT, prev, t, row, vals)
-		emit(t, vals)
-		prevT, prev = t, row
+	for i := 0; i < s.rows.Len(); i++ {
+		r := *s.rows.At(i)
+		s.exportRow(prev, r, vals)
+		emit(r.t, vals)
+		prev = r
 	}
 }
 

@@ -27,8 +27,14 @@ type fakeEvent struct {
 
 func (e *fakeEngine) now() mem.Cycle { return e.clock }
 
-func (e *fakeEngine) after(d mem.Cycle, fn func()) {
+// later schedules a closure d cycles ahead.
+func (e *fakeEngine) later(d mem.Cycle, fn func()) {
 	e.events = append(e.events, fakeEvent{when: e.clock + d, fn: fn})
+}
+
+// after is the sim.Engine.AfterArg stand-in handed to the sampler.
+func (e *fakeEngine) after(d mem.Cycle, h mem.Handler, ctx any, v uint64) {
+	e.later(d, func() { h(ctx, v, e.clock) })
 }
 
 func (e *fakeEngine) pending() int { return len(e.events) + e.other }
@@ -68,7 +74,7 @@ func TestSamplerKindsAndCSVGolden(t *testing.T) {
 	// before each sample point.
 	for i := 1; i <= 3; i++ {
 		i := i
-		eng.after(mem.Cycle(100*i)-1, func() {
+		eng.later(mem.Cycle(100*i)-1, func() {
 			gauge = float64(i)
 			count += uint64(10 * i)
 			busy += 50
@@ -76,7 +82,7 @@ func TestSamplerKindsAndCSVGolden(t *testing.T) {
 	}
 	// Stop the run after the third sample so the sampler's idle-stop rule
 	// (nothing else pending) ends the loop.
-	eng.after(301, func() { eng.other = 0 })
+	eng.later(301, func() { eng.other = 0 })
 
 	s.Start()
 	eng.run()
@@ -107,8 +113,8 @@ func TestSamplerJSONL(t *testing.T) {
 	s := NewSampler(eng.now, eng.after, eng.pending, 10, 0)
 	var count uint64
 	s.Counter("hits", func() uint64 { return count })
-	eng.after(9, func() { count = 7 })
-	eng.after(11, func() { eng.other = 0 })
+	eng.later(9, func() { count = 7 })
+	eng.later(11, func() { eng.other = 0 })
 	s.Start()
 	eng.run()
 
@@ -139,9 +145,9 @@ func TestSamplerRingWrap(t *testing.T) {
 	// count advances by 1, 2, 3, 4 in the four windows.
 	for i := 1; i <= 4; i++ {
 		i := i
-		eng.after(mem.Cycle(10*i)-1, func() { count += uint64(i) })
+		eng.later(mem.Cycle(10*i)-1, func() { count += uint64(i) })
 	}
-	eng.after(41, func() { eng.other = 0 })
+	eng.later(41, func() { eng.other = 0 })
 	s.Start()
 	eng.run()
 

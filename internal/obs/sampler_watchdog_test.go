@@ -21,20 +21,20 @@ func TestSamplerIdleStopUnderWatchdog(t *testing.T) {
 	// Workload: 50 events, 20 cycles apart, each advancing the progress
 	// fingerprint. Finishes at cycle 1000.
 	var progress uint64
-	var step func()
-	step = func() {
+	var step func(mem.Cycle)
+	step = func(mem.Cycle) {
 		progress++
 		if progress < 50 {
-			eng.After(20, step)
+			eng.AfterArg(20, mem.Call, step, 0)
 		}
 	}
-	eng.After(20, step)
+	eng.AfterArg(20, mem.Call, step, 0)
 
 	// Watchdog trips after ~64 stale events; the sampler alone would feed
 	// it endless no-progress events if idle-stop failed.
-	eng.SetWatchdog(64, func() uint64 { return progress }, nil)
+	eng.SetWatchdog(sim.Watchdog{Events: 64, Stall: true, Progress: func() uint64 { return progress }})
 
-	s := NewSampler(eng.Clock(), eng.After, eng.Pending, 100, 0)
+	s := NewSampler(eng.Clock(), eng.AfterArg, eng.Pending, 100, 0)
 	s.Gauge("progress", func() float64 { return float64(progress) })
 	var windows int
 	s.OnWindow(func(Window) { windows++ })
@@ -67,17 +67,17 @@ func TestSamplerDoesNotMaskWatchdog(t *testing.T) {
 
 	// Wedged workload: reschedules forever, progress frozen after 10 steps.
 	var progress uint64
-	var spin func()
-	spin = func() {
+	var spin func(mem.Cycle)
+	spin = func(mem.Cycle) {
 		if progress < 10 {
 			progress++
 		}
-		eng.After(5, spin)
+		eng.AfterArg(5, mem.Call, spin, 0)
 	}
-	eng.After(5, spin)
-	eng.SetWatchdog(64, func() uint64 { return progress }, nil)
+	eng.AfterArg(5, mem.Call, spin, 0)
+	eng.SetWatchdog(sim.Watchdog{Events: 64, Stall: true, Progress: func() uint64 { return progress }})
 
-	s := NewSampler(eng.Clock(), eng.After, eng.Pending, 50, 0)
+	s := NewSampler(eng.Clock(), eng.AfterArg, eng.Pending, 50, 0)
 	s.Gauge("progress", func() float64 { return float64(progress) })
 	s.Start()
 

@@ -12,9 +12,9 @@ import (
 func TestPastSchedulingClampOrdering(t *testing.T) {
 	e := New()
 	var order []string
-	e.At(100, func() {
-		e.At(100, func() { order = append(order, "same-cycle") })
-		e.At(5, func() {
+	at(e, 100, func(mem.Cycle) {
+		at(e, 100, func(mem.Cycle) { order = append(order, "same-cycle") })
+		at(e, 5, func(mem.Cycle) {
 			order = append(order, "past")
 			if e.Now() != 100 {
 				t.Errorf("past event ran at %d, want 100", e.Now())
@@ -35,13 +35,13 @@ func TestPastSchedulingClampOrdering(t *testing.T) {
 func TestDrainFollowsNewEvents(t *testing.T) {
 	e := New()
 	depth := 0
-	var cascade func()
-	cascade = func() {
+	var cascade func(mem.Cycle)
+	cascade = func(mem.Cycle) {
 		if depth++; depth < 50 {
-			e.After(3, cascade)
+			after(e, 3, cascade)
 		}
 	}
-	e.At(1, cascade)
+	at(e, 1, cascade)
 	e.Drain()
 	if depth != 50 {
 		t.Fatalf("cascade depth = %d, want 50", depth)
@@ -74,13 +74,13 @@ func TestTieBreakDeterminismInterleaved(t *testing.T) {
 	run := func() []int {
 		e := New()
 		var order []int
-		e.At(10, func() {
+		at(e, 10, func(mem.Cycle) {
 			for i := 0; i < 8; i++ {
 				i := i
 				if i%2 == 0 {
-					e.At(20, func() { order = append(order, i) })
+					at(e, 20, func(mem.Cycle) { order = append(order, i) })
 				} else {
-					e.After(10, func() { order = append(order, i) })
+					after(e, 10, func(mem.Cycle) { order = append(order, i) })
 				}
 			}
 		})
@@ -105,13 +105,13 @@ func TestTieBreakDeterminismInterleaved(t *testing.T) {
 // re-arming the engine with new events resumes normally.
 func TestStepAfterDrainEmpty(t *testing.T) {
 	e := New()
-	e.At(1, func() {})
+	at(e, 1, func(mem.Cycle) {})
 	e.Drain()
 	if e.Step() {
 		t.Fatal("Step returned true on drained engine")
 	}
 	ran := false
-	e.At(2, func() { ran = true })
+	at(e, 2, func(mem.Cycle) { ran = true })
 	if !e.Step() || !ran {
 		t.Fatal("engine did not resume after new event")
 	}

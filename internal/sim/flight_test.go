@@ -6,12 +6,13 @@ import (
 	"dap/internal/mem"
 )
 
-// TestFlightSamplerFires verifies the periodic sampler fires every N
-// executed events with the current cycle, and that disarming stops it.
+// TestFlightSamplerFires verifies the watchdog's Sample observer fires every
+// Events/8 executed events with the current cycle, without stall detection,
+// and that disarming stops it.
 func TestFlightSamplerFires(t *testing.T) {
 	e := New()
 	var samples []mem.Cycle
-	e.SetFlightSampler(3, func(c mem.Cycle) { samples = append(samples, c) })
+	e.SetWatchdog(Watchdog{Events: 24, Sample: func(c mem.Cycle) { samples = append(samples, c) }})
 
 	// Self-rescheduling tick: 10 events at cycles 1..10.
 	var n int
@@ -19,10 +20,10 @@ func TestFlightSamplerFires(t *testing.T) {
 	tick = func(c mem.Cycle) {
 		n++
 		if n < 10 {
-			e.AtCall(e.Now()+1, tick)
+			at(e, e.Now()+1, tick)
 		}
 	}
-	e.AtCall(e.Now()+1, tick)
+	at(e, e.Now()+1, tick)
 	e.Drain()
 
 	if len(samples) != 3 { // events 3, 6, 9
@@ -35,32 +36,33 @@ func TestFlightSamplerFires(t *testing.T) {
 	}
 
 	// Disarm: no further samples.
-	e.SetFlightSampler(0, nil)
+	e.SetWatchdog(Watchdog{})
 	n = 0
-	e.AtCall(e.Now()+1, tick)
+	at(e, e.Now()+1, tick)
 	e.Drain()
 	if len(samples) != 3 {
 		t.Fatalf("sampler fired after disarm: %v", samples)
 	}
 }
 
-// TestFlightSamplerCoexistsWithWatchdog checks both piggyback observers can
-// be armed at once and the watchdog still trips.
+// TestFlightSamplerCoexistsWithWatchdog checks the Sample observer and stall
+// detection share one check: the observer fires and the watchdog still trips.
 func TestFlightSamplerCoexistsWithWatchdog(t *testing.T) {
 	e := New()
 	var fired int
-	e.SetFlightSampler(4, func(mem.Cycle) { fired++ })
-	e.SetWatchdog(16, func() uint64 { return 42 }, nil) // constant progress: stalls
+	e.SetWatchdog(Watchdog{Events: 16, Stall: true,
+		Progress: func() uint64 { return 42 }, // constant progress: stalls
+		Sample:   func(mem.Cycle) { fired++ }})
 
 	var spin func(mem.Cycle)
-	spin = func(c mem.Cycle) { e.AtCall(c, spin) } // zero-time self-loop, no progress
-	e.AtCall(0, spin)
+	spin = func(c mem.Cycle) { at(e, c, spin) } // zero-time self-loop, no progress
+	at(e, 0, spin)
 	for i := 0; i < 1000 && e.Step(); i++ {
 	}
 	if e.Err() == nil {
 		t.Fatal("watchdog did not trip")
 	}
-	if fired == 0 {
-		t.Fatal("flight sampler never fired alongside watchdog")
+	if fired != watchdogChecks {
+		t.Fatalf("flight sampler fired %d times before the trip, want one per check (%d)", fired, watchdogChecks)
 	}
 }

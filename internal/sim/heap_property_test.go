@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"dap/internal/mem"
 )
@@ -19,9 +20,7 @@ import (
 type refEvent struct {
 	when mem.Cycle
 	seq  uint64
-	fn   func()
-	fnc  func(mem.Cycle)
-	fna  Handler
+	fn   mem.Handler
 	ctx  any
 	v    uint64
 }
@@ -47,33 +46,15 @@ type refEngine struct {
 
 func (e *refEngine) Now() mem.Cycle { return e.now }
 
-func (e *refEngine) At(when mem.Cycle, fn func()) {
+func (e *refEngine) AtArg(when mem.Cycle, fn mem.Handler, ctx any, v uint64) {
 	if when < e.now {
 		when = e.now
 	}
 	e.seq++
-	heap.Push(&e.events, refEvent{when: when, seq: e.seq, fn: fn})
+	heap.Push(&e.events, refEvent{when: when, seq: e.seq, fn: fn, ctx: ctx, v: v})
 }
 
-func (e *refEngine) AtCall(when mem.Cycle, fn func(mem.Cycle)) {
-	if when < e.now {
-		when = e.now
-	}
-	e.seq++
-	heap.Push(&e.events, refEvent{when: when, seq: e.seq, fnc: fn})
-}
-
-func (e *refEngine) AtArg(when mem.Cycle, fn Handler, ctx any, v uint64) {
-	if when < e.now {
-		when = e.now
-	}
-	e.seq++
-	heap.Push(&e.events, refEvent{when: when, seq: e.seq, fna: fn, ctx: ctx, v: v})
-}
-
-func (e *refEngine) After(delay mem.Cycle, fn func()) { e.At(e.now+delay, fn) }
-
-func (e *refEngine) AfterArg(delay mem.Cycle, fn Handler, ctx any, v uint64) {
+func (e *refEngine) AfterArg(delay mem.Cycle, fn mem.Handler, ctx any, v uint64) {
 	e.AtArg(e.now+delay, fn, ctx, v)
 }
 
@@ -81,25 +62,15 @@ func (e *refEngine) Drain() {
 	for len(e.events) > 0 {
 		ev := heap.Pop(&e.events).(refEvent)
 		e.now = ev.when
-		switch {
-		case ev.fn != nil:
-			ev.fn()
-		case ev.fnc != nil:
-			ev.fnc(ev.when)
-		default:
-			ev.fna(ev.ctx, ev.v, ev.when)
-		}
+		ev.fn(ev.ctx, ev.v, ev.when)
 	}
 }
 
 // scheduler is the surface both engines expose to the random program.
 type scheduler interface {
 	Now() mem.Cycle
-	At(mem.Cycle, func())
-	AtCall(mem.Cycle, func(mem.Cycle))
-	AtArg(mem.Cycle, Handler, any, uint64)
-	After(mem.Cycle, func())
-	AfterArg(mem.Cycle, Handler, any, uint64)
+	AtArg(mem.Cycle, mem.Handler, any, uint64)
+	AfterArg(mem.Cycle, mem.Handler, any, uint64)
 	Drain()
 }
 
@@ -143,33 +114,33 @@ func (p *program) schedule(id, depth int) {
 	p.budget--
 	s := p.s
 	switch p.rng.next() % 5 {
-	case 0: // plain At in the near future, possibly in the past (clamped)
+	case 0: // closure (mem.Call) in the near future, possibly in the past (clamped)
 		when := mem.Cycle(p.rng.next() % 2048)
 		if p.rng.next()%4 == 0 && s.Now() > 16 {
 			when = s.Now() - mem.Cycle(p.rng.next()%16) - 1 // strictly past
 		}
-		s.At(when, func() {
+		s.AtArg(when, mem.Call, func(mem.Cycle) {
 			p.log = append(p.log, fmt.Sprintf("at:%d@%d", id, s.Now()))
 			if depth < 3 && p.rng.next()%2 == 0 {
 				p.schedule(id*7+1, depth+1)
 			}
-		})
-	case 1: // AtCall: the callback receives its run cycle; the range
+		}, 0)
+	case 1: // mem.Call: the callback receives its run cycle; the range
 		// straddles the wheel boundary, so some land in the overflow heap
 		when := s.Now() + mem.Cycle(p.rng.next()%6000)
-		s.AtCall(when, func(t mem.Cycle) {
+		s.AtArg(when, mem.Call, func(t mem.Cycle) {
 			p.log = append(p.log, fmt.Sprintf("call:%d@%d(t=%d)", id, s.Now(), t))
 			if depth < 3 && p.rng.next()%2 == 0 {
 				p.schedule(id*7+2, depth+1)
 			}
-		})
+		}, 0)
 	case 2: // relative, near future (wheel path, wraps as now advances)
-		s.After(mem.Cycle(p.rng.next()%512), func() {
+		s.AfterArg(mem.Cycle(p.rng.next()%512), mem.Call, func(mem.Cycle) {
 			p.log = append(p.log, fmt.Sprintf("after:%d@%d", id, p.s.Now()))
 			if depth < 3 && p.rng.next()%3 == 0 {
 				p.schedule(id*7+3, depth+1)
 			}
-		})
+		}, 0)
 	case 3: // AtArg far in the future: always beyond the wheel horizon,
 		// exercising the overflow spill and its (when, seq) merge on pop
 		when := s.Now() + mem.Cycle(4100+p.rng.next()%16000)
@@ -182,7 +153,8 @@ func (p *program) schedule(id, depth int) {
 // runProgram executes a randomized schedule against s and returns the
 // execution log: one entry per executed callback recording its identity and
 // the cycle it observed. Executed callbacks reschedule follow-up events —
-// At calls in the past (exercising the clamp), AtCall events, and
+// closures in the past (exercising the clamp), closures receiving their
+// run cycle, and
 // AtArg/AfterArg events near and far beyond the wheel horizon (exercising
 // wrap-around and the overflow heap) — driven by an RNG whose draws depend
 // only on execution order, so two engines produce identical logs iff they
@@ -202,7 +174,8 @@ func runProgram(seed uint64, s scheduler) []string {
 }
 
 // TestEventQueueMatchesContainerHeap is the property test for the timing
-// wheel: across randomized interleavings of At/AtCall/AtArg/After/AfterArg
+// wheel: across randomized interleavings of AtArg/AfterArg (closures
+// through mem.Call and top-level handlers)
 // and partial drains — including events scheduled in the past (clamped),
 // beyond the wheel horizon (overflow spill), across bucket wrap-around,
 // and with (when, seq) ties — the Engine executes callbacks in exactly the
@@ -225,18 +198,18 @@ func TestEventQueueMatchesContainerHeap(t *testing.T) {
 
 // TestTieBreakIsInsertionOrder pins the seq tie-break directly: events
 // scheduled at the same cycle run in insertion order, interleaved across
-// At/AtCall/After.
+// AtArg/AfterArg with closure and top-level handlers.
 func TestTieBreakIsInsertionOrder(t *testing.T) {
 	e := New()
 	var order []int
-	e.At(10, func() { order = append(order, 0) })
-	e.AtCall(10, func(mem.Cycle) { order = append(order, 1) })
-	e.After(10, func() { order = append(order, 2) })
+	at(e, 10, func(mem.Cycle) { order = append(order, 0) })
+	at(e, 10, func(mem.Cycle) { order = append(order, 1) })
+	after(e, 10, func(mem.Cycle) { order = append(order, 2) })
 	e.AtArg(10, func(ctx any, v uint64, _ mem.Cycle) {
 		p := ctx.(*[]int)
 		*p = append(*p, int(v))
 	}, &order, 3)
-	e.At(10, func() { order = append(order, 4) })
+	at(e, 10, func(mem.Cycle) { order = append(order, 4) })
 	e.Drain()
 	for i, v := range order {
 		if v != i {
@@ -247,34 +220,28 @@ func TestTieBreakIsInsertionOrder(t *testing.T) {
 
 var sinkCount int
 
-func countEvent()                          { sinkCount++ }
 func countEventAt(mem.Cycle)               { sinkCount++ }
 func countEventArg(any, uint64, mem.Cycle) { sinkCount++ }
 
 // TestSchedulePathAllocs asserts the point of the timing-wheel rewrite:
 // once the wheel's buckets and the overflow heap are warm, scheduling and
-// dispatching an event — through every schedule form, near-future (wheel)
-// or far-future (overflow) — incurs zero heap allocations.
+// dispatching an event — a top-level handler or a held func(mem.Cycle)
+// through mem.Call, near-future (wheel) or far-future (overflow) — incurs
+// zero heap allocations.
 func TestSchedulePathAllocs(t *testing.T) {
 	e := New()
 	for i := 0; i < 1024; i++ { // grow bucket backing arrays once
-		e.After(mem.Cycle(i%64), countEvent)
+		e.AfterArg(mem.Cycle(i%64), countEventArg, e, 0)
 	}
 	for i := 0; i < 512; i++ { // grow the overflow heap once
-		e.After(wheelSize+mem.Cycle(i), countEvent)
+		e.AfterArg(wheelSize+mem.Cycle(i), countEventArg, e, 0)
 	}
 	e.Drain()
 	if a := testing.AllocsPerRun(1000, func() {
-		e.After(3, countEvent)
+		e.AtArg(e.Now()+3, mem.Call, countEventAt, 0)
 		e.Step()
 	}); a != 0 {
-		t.Fatalf("After+Step allocates %.1f times per event, want 0", a)
-	}
-	if a := testing.AllocsPerRun(1000, func() {
-		e.AtCall(e.Now()+3, countEventAt)
-		e.Step()
-	}); a != 0 {
-		t.Fatalf("AtCall+Step allocates %.1f times per event, want 0", a)
+		t.Fatalf("mem.Call AtArg+Step allocates %.1f times per event, want 0", a)
 	}
 	if a := testing.AllocsPerRun(1000, func() {
 		e.AfterArg(3, countEventArg, e, 7)
@@ -288,5 +255,17 @@ func TestSchedulePathAllocs(t *testing.T) {
 		e.Step()
 	}); a != 0 {
 		t.Fatalf("overflow AtArg+Step allocates %.1f times per event, want 0", a)
+	}
+}
+
+// TestEventSize pins the one-callback event record: 48 bytes, 56 in its
+// wheel arena node. Every Step reads one, so a field added back to event
+// costs memory traffic on the simulator's hottest path.
+func TestEventSize(t *testing.T) {
+	if s := unsafe.Sizeof(event{}); s != 48 {
+		t.Errorf("event is %d bytes, want 48", s)
+	}
+	if s := unsafe.Sizeof(eventNode{}); s != 56 {
+		t.Errorf("eventNode is %d bytes, want 56", s)
 	}
 }

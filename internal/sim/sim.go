@@ -1,7 +1,8 @@
 // Package sim provides the discrete-event simulation engine that drives the
-// whole memory-hierarchy model. Components schedule callbacks at absolute or
-// relative cycle times; the engine executes them in time order with a
-// deterministic tie-break so that simulations are exactly reproducible.
+// whole memory-hierarchy model. Components schedule typed handlers
+// (mem.Handler) at absolute or relative cycle times; the engine executes them
+// in time order with a deterministic tie-break so that simulations are
+// exactly reproducible.
 package sim
 
 import (
@@ -11,22 +12,13 @@ import (
 	"dap/internal/mem"
 )
 
-// Handler is a typed event callback: ctx is usually the receiving component
-// (a pointer, so boxing it in the interface never allocates), v is a packed
-// value argument, and now is the cycle the event runs at. Scheduling a
-// top-level Handler through AtArg/AfterArg costs no closure allocation,
-// which is why the simulator's hot completion paths use it instead of At.
-type Handler func(ctx any, v uint64, now mem.Cycle)
-
-// event is a scheduled callback. Exactly one of fn, fnc and fna is set: fn
-// is a plain closure, fnc receives the cycle the event runs at (AtCall),
-// and fna is a typed Handler with its ctx/v payload (AtArg).
+// event is a scheduled call of the typed handler fn(ctx, v, when). The
+// handler type lives in package mem (mem.Handler) so that observers which
+// must not import the engine can still schedule events.
 type event struct {
 	when mem.Cycle
 	seq  uint64 // insertion order; breaks ties deterministically
-	fn   func()
-	fnc  func(mem.Cycle)
-	fna  Handler
+	fn   mem.Handler
 	ctx  any
 	v    uint64
 }
@@ -98,7 +90,7 @@ func (q *eventHeap) push(ev event) {
 
 // pop removes and returns the minimum event, sifting the displaced tail
 // element down. The vacated tail slot is zeroed so the queue does not
-// retain the popped closure.
+// retain the popped event's ctx.
 func (q *eventHeap) pop() event {
 	h := *q
 	top := h[0]
@@ -148,15 +140,32 @@ func (e *StallError) Error() string {
 	return msg
 }
 
-// watchdog is the engine's stall detector. Every batch executed events it
-// samples the progress fingerprint; limit consecutive stale samples with no
-// simulated-time advance between them trip a StallError.
+// Watchdog configures the engine's one periodic check (SetWatchdog): every
+// Events/8 executed events the engine hands the current cycle to Sample and,
+// when Stall is set, samples the Progress fingerprint; 8 consecutive samples
+// without a change fail the engine with a *StallError.
+type Watchdog struct {
+	// Events is the stall deadline in executed events; it sets the stride
+	// of the check (Events/8, at least 1). Events <= 0 disarms the check.
+	Events int
+	// Stall arms stall detection.
+	Stall bool
+	// Progress is the forward-progress fingerprint (nil: simulated time).
+	Progress func() uint64
+	// Snapshot, when non-nil, supplies the component-state dump the
+	// StallError carries, captured at the moment the stall is detected.
+	Snapshot func() string
+	// Sample, when non-nil, observes every check with the current cycle —
+	// the flight recorder's feed. It must be a strict read-only observer
+	// (it runs between events on the engine goroutine).
+	Sample func(mem.Cycle)
+}
+
+// watchdog is an armed Watchdog plus its running state.
 type watchdog struct {
-	batch, limit int
-	count, stale int
-	lastProg     uint64
-	progress     func() uint64
-	snapshot     func() string
+	Watchdog
+	batch, count, stale int
+	lastProg            uint64
 }
 
 // Engine is a discrete-event scheduler. The zero value is ready to use.
@@ -179,17 +188,7 @@ type Engine struct {
 	overflow eventHeap          // events >= wheelSize cycles ahead
 
 	wd  *watchdog
-	fs  *flightSampler
 	err error
-}
-
-// flightSampler periodically invokes a state-capture callback — the flight
-// recorder's feed. Like the watchdog it piggybacks on Step with a single
-// counter increment per event when armed, and zero branches beyond the nil
-// check when off.
-type flightSampler struct {
-	every, count int
-	fn           func(mem.Cycle)
 }
 
 // New returns an empty engine at cycle zero.
@@ -244,50 +243,20 @@ func (e *Engine) schedule(ev event) {
 	e.overflow.push(ev)
 }
 
-// At schedules fn to run at absolute cycle when. Scheduling in the past is
-// clamped to the current cycle (the event runs before time advances).
-func (e *Engine) At(when mem.Cycle, fn func()) {
+// AtArg schedules the handler fn(ctx, v, when) at absolute cycle when.
+// Scheduling in the past is clamped to the current cycle (the event runs
+// before time advances). Passing a top-level function and a pointer ctx
+// makes scheduling completely allocation-free.
+func (e *Engine) AtArg(when mem.Cycle, fn mem.Handler, ctx any, v uint64) {
 	if when < e.now {
 		when = e.now
 	}
 	e.seq++
-	e.schedule(event{when: when, seq: e.seq, fn: fn})
+	e.schedule(event{when: when, seq: e.seq, fn: fn, ctx: ctx, v: v})
 }
 
-// AtCall schedules fn to run at absolute cycle when, passing it the cycle
-// it executes at (when, after past-clamping). It exists for completion
-// paths that already hold a func(mem.Cycle): scheduling it directly avoids
-// allocating a wrapper closure per event, which matters on the DRAM
-// data-return path where every access schedules one completion.
-func (e *Engine) AtCall(when mem.Cycle, fn func(mem.Cycle)) {
-	if when < e.now {
-		when = e.now
-	}
-	e.seq++
-	e.schedule(event{when: when, seq: e.seq, fnc: fn})
-}
-
-// AtArg schedules the typed handler fn(ctx, v, when) at absolute cycle
-// when (past-clamped like At). Passing a top-level function and a pointer
-// ctx makes scheduling completely allocation-free, which is what the
-// simulator's per-access paths (channel scheduler kicks, core wake-ups,
-// load completions) use instead of capturing closures.
-func (e *Engine) AtArg(when mem.Cycle, fn Handler, ctx any, v uint64) {
-	if when < e.now {
-		when = e.now
-	}
-	e.seq++
-	e.schedule(event{when: when, seq: e.seq, fna: fn, ctx: ctx, v: v})
-}
-
-// After schedules fn to run delay cycles from now.
-func (e *Engine) After(delay mem.Cycle, fn func()) {
-	e.At(e.now+delay, fn)
-}
-
-// AfterArg schedules the typed handler fn(ctx, v, t) delay cycles from now
-// (the allocation-free counterpart of After; see AtArg).
-func (e *Engine) AfterArg(delay mem.Cycle, fn Handler, ctx any, v uint64) {
+// AfterArg schedules the handler fn(ctx, v, t) delay cycles from now.
+func (e *Engine) AfterArg(delay mem.Cycle, fn mem.Handler, ctx any, v uint64) {
 	e.AtArg(e.now+delay, fn, ctx, v)
 }
 
@@ -347,7 +316,7 @@ func (e *Engine) pop() (event, bool) {
 		}
 	}
 	ev := *head
-	*head = event{} // release closure/ctx references
+	*head = event{} // release handler/ctx references
 	b.head = e.arena[hn].next
 	if b.head < 0 {
 		b.tail = -1
@@ -360,48 +329,25 @@ func (e *Engine) pop() (event, bool) {
 }
 
 // watchdogChecks is how many stale samples in a row trip the watchdog; the
-// sample interval is staleEvents / watchdogChecks executed events.
+// sample interval is Events / watchdogChecks executed events.
 const watchdogChecks = 8
 
-// SetWatchdog arms the forward-progress watchdog: if the progress
-// fingerprint returned by progress does not change across roughly
-// staleEvents consecutively executed events, the engine stops and Err
-// returns a *StallError. progress defaults to simulated time when nil;
-// snapshot, when non-nil, supplies a component-state dump captured at the
-// moment the stall is detected. staleEvents <= 0 disarms the watchdog.
-//
-// The per-event cost when armed is one counter increment; the fingerprint
-// is only sampled every staleEvents/8 events.
-func (e *Engine) SetWatchdog(staleEvents int, progress func() uint64, snapshot func() string) {
-	if staleEvents <= 0 {
+// SetWatchdog arms the periodic check described by w, replacing any earlier
+// one; Events <= 0, or neither Stall nor Sample set, disarms it. The
+// per-event cost when armed is one counter increment and one branch.
+func (e *Engine) SetWatchdog(w Watchdog) {
+	if w.Events <= 0 || (!w.Stall && w.Sample == nil) {
 		e.wd = nil
 		return
 	}
-	batch := staleEvents / watchdogChecks
-	if batch < 1 {
-		batch = 1
-	}
-	if progress == nil {
-		progress = func() uint64 { return uint64(e.now) }
+	if w.Progress == nil {
+		w.Progress = func() uint64 { return uint64(e.now) }
 	}
 	e.wd = &watchdog{
-		batch: batch, limit: watchdogChecks,
-		progress: progress, snapshot: snapshot, lastProg: progress(),
+		Watchdog: w,
+		batch:    max(w.Events/watchdogChecks, 1),
+		lastProg: w.Progress(),
 	}
-}
-
-// SetFlightSampler arms periodic state sampling: fn is invoked with the
-// current cycle every `every` executed events — the feed for a flight
-// recorder capturing "what was the system doing lately". fn must be a
-// strict read-only observer (it runs between events on the engine
-// goroutine); every <= 0 or a nil fn disarms. The per-event cost when
-// armed is one counter increment, matching the watchdog.
-func (e *Engine) SetFlightSampler(every int, fn func(mem.Cycle)) {
-	if every <= 0 || fn == nil {
-		e.fs = nil
-		return
-	}
-	e.fs = &flightSampler{every: every, fn: fn}
 }
 
 // Fail stops the engine with err: no further events execute, and Err
@@ -427,43 +373,40 @@ func (e *Engine) Step() bool {
 		return false
 	}
 	e.now = ev.when
-	switch {
-	case ev.fn != nil:
-		ev.fn()
-	case ev.fnc != nil:
-		ev.fnc(ev.when)
-	default:
-		ev.fna(ev.ctx, ev.v, ev.when)
-	}
-	if f := e.fs; f != nil {
-		f.count++
-		if f.count >= f.every {
-			f.count = 0
-			f.fn(e.now)
-		}
-	}
+	ev.fn(ev.ctx, ev.v, ev.when)
 	if w := e.wd; w != nil {
-		w.count++
-		if w.count >= w.batch {
+		if w.count++; w.count >= w.batch {
 			w.count = 0
-			if p := w.progress(); p != w.lastProg {
-				w.lastProg = p
-				w.stale = 0
-			} else if w.stale++; w.stale >= w.limit {
-				snap := ""
-				if w.snapshot != nil {
-					snap = w.snapshot()
-				}
-				e.Fail(&StallError{
-					Cycle:    e.now,
-					Events:   uint64(w.batch) * uint64(w.stale),
-					Pending:  e.Pending(),
-					Snapshot: snap,
-				})
-			}
+			e.check(w)
 		}
 	}
 	return true
+}
+
+// check is one periodic sample: the observer sees the cycle first, then
+// stall detection compares the progress fingerprint with the last sample.
+func (e *Engine) check(w *watchdog) {
+	if w.Sample != nil {
+		w.Sample(e.now)
+	}
+	if !w.Stall {
+		return
+	}
+	if p := w.Progress(); p != w.lastProg {
+		w.lastProg = p
+		w.stale = 0
+	} else if w.stale++; w.stale >= watchdogChecks {
+		snap := ""
+		if w.Snapshot != nil {
+			snap = w.Snapshot()
+		}
+		e.Fail(&StallError{
+			Cycle:    e.now,
+			Events:   uint64(w.batch) * uint64(w.stale),
+			Pending:  e.Pending(),
+			Snapshot: snap,
+		})
+	}
 }
 
 // RunUntil executes events until the queue is empty, the engine fails, or

@@ -6,12 +6,17 @@ import (
 	"dap/internal/mem"
 )
 
+// at and after schedule a closure through mem.Call, the adapter every
+// closure-shaped callback in these tests rides on.
+func at(e *Engine, when mem.Cycle, fn func(mem.Cycle))     { e.AtArg(when, mem.Call, fn, 0) }
+func after(e *Engine, delay mem.Cycle, fn func(mem.Cycle)) { e.AfterArg(delay, mem.Call, fn, 0) }
+
 func TestEngineOrdering(t *testing.T) {
 	e := New()
 	var order []int
-	e.At(10, func() { order = append(order, 2) })
-	e.At(5, func() { order = append(order, 1) })
-	e.At(10, func() { order = append(order, 3) }) // same time: insertion order
+	at(e, 10, func(mem.Cycle) { order = append(order, 2) })
+	at(e, 5, func(mem.Cycle) { order = append(order, 1) })
+	at(e, 10, func(mem.Cycle) { order = append(order, 3) }) // same time: insertion order
 	e.Drain()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("wrong order: %v", order)
@@ -23,8 +28,8 @@ func TestEngineOrdering(t *testing.T) {
 
 func TestEnginePastClamped(t *testing.T) {
 	e := New()
-	e.At(100, func() {
-		e.At(50, func() {
+	at(e, 100, func(mem.Cycle) {
+		at(e, 50, func(mem.Cycle) {
 			if e.Now() != 100 {
 				t.Errorf("past event ran at %d, want clamped to 100", e.Now())
 			}
@@ -36,8 +41,8 @@ func TestEnginePastClamped(t *testing.T) {
 func TestEngineAfter(t *testing.T) {
 	e := New()
 	fired := mem.Cycle(0)
-	e.At(7, func() {
-		e.After(5, func() { fired = e.Now() })
+	at(e, 7, func(mem.Cycle) {
+		after(e, 5, func(mem.Cycle) { fired = e.Now() })
 	})
 	e.Drain()
 	if fired != 12 {
@@ -48,12 +53,12 @@ func TestEngineAfter(t *testing.T) {
 func TestRunUntil(t *testing.T) {
 	e := New()
 	count := 0
-	var tick func()
-	tick = func() {
+	var tick func(mem.Cycle)
+	tick = func(mem.Cycle) {
 		count++
-		e.After(10, tick)
+		after(e, 10, tick)
 	}
-	e.After(10, tick)
+	after(e, 10, tick)
 	e.RunUntil(100)
 	if count != 10 {
 		t.Fatalf("count = %d, want 10", count)
@@ -78,12 +83,12 @@ func TestRunUntilAdvancesIdleTime(t *testing.T) {
 func TestRunWhile(t *testing.T) {
 	e := New()
 	n := 0
-	var tick func()
-	tick = func() {
+	var tick func(mem.Cycle)
+	tick = func(mem.Cycle) {
 		n++
-		e.After(1, tick)
+		after(e, 1, tick)
 	}
-	e.After(1, tick)
+	after(e, 1, tick)
 	e.RunWhile(func() bool { return n < 5 })
 	if n != 5 {
 		t.Fatalf("n = %d, want 5", n)
@@ -102,7 +107,7 @@ func TestManyEventsStaySorted(t *testing.T) {
 	last := mem.Cycle(0)
 	// schedule in reverse and confirm monotone execution
 	for i := 1000; i > 0; i-- {
-		e.At(mem.Cycle(i), func() {
+		at(e, mem.Cycle(i), func(mem.Cycle) {
 			if e.Now() < last {
 				t.Fatalf("time went backwards: %d < %d", e.Now(), last)
 			}

@@ -14,10 +14,11 @@ import (
 func TestWatchdogTripsOnStall(t *testing.T) {
 	e := New()
 	progress := uint64(0)
-	e.SetWatchdog(64, func() uint64 { return progress }, func() string { return "queues: wedged" })
-	var tick func()
-	tick = func() { e.After(1, tick) }
-	e.After(1, tick)
+	e.SetWatchdog(Watchdog{Events: 64, Stall: true,
+		Progress: func() uint64 { return progress }, Snapshot: func() string { return "queues: wedged" }})
+	var tick func(mem.Cycle)
+	tick = func(mem.Cycle) { after(e, 1, tick) }
+	after(e, 1, tick)
 	steps := 0
 	for e.Step() {
 		steps++
@@ -45,13 +46,13 @@ func TestWatchdogTripsOnStall(t *testing.T) {
 func TestWatchdogProgressSuppresses(t *testing.T) {
 	e := New()
 	progress := uint64(0)
-	e.SetWatchdog(64, func() uint64 { return progress }, nil)
-	var tick func()
-	tick = func() {
+	e.SetWatchdog(Watchdog{Events: 64, Stall: true, Progress: func() uint64 { return progress }})
+	var tick func(mem.Cycle)
+	tick = func(mem.Cycle) {
 		progress++ // every event makes progress
-		e.After(1, tick)
+		after(e, 1, tick)
 	}
-	e.After(1, tick)
+	after(e, 1, tick)
 	for i := 0; i < 5000 && e.Step(); i++ {
 	}
 	if e.Err() != nil {
@@ -64,10 +65,10 @@ func TestWatchdogProgressSuppresses(t *testing.T) {
 // (time frozen) trips while advancing time does not.
 func TestWatchdogTimeFingerprintDefault(t *testing.T) {
 	e := New()
-	e.SetWatchdog(64, nil, nil)
-	var spin func()
-	spin = func() { e.After(0, spin) } // same-cycle spin
-	e.At(1, spin)
+	e.SetWatchdog(Watchdog{Events: 64, Stall: true})
+	var spin func(mem.Cycle)
+	spin = func(mem.Cycle) { after(e, 0, spin) } // same-cycle spin
+	at(e, 1, spin)
 	for i := 0; i < 10_000 && e.Step(); i++ {
 	}
 	var se *StallError
@@ -76,14 +77,14 @@ func TestWatchdogTimeFingerprintDefault(t *testing.T) {
 	}
 }
 
-// TestWatchdogDisarm: staleEvents <= 0 disarms a previously armed watchdog.
+// TestWatchdogDisarm: a zero Watchdog disarms a previously armed one.
 func TestWatchdogDisarm(t *testing.T) {
 	e := New()
-	e.SetWatchdog(8, func() uint64 { return 0 }, nil)
-	e.SetWatchdog(0, nil, nil)
-	var tick func()
-	tick = func() { e.After(1, tick) }
-	e.After(1, tick)
+	e.SetWatchdog(Watchdog{Events: 8, Stall: true, Progress: func() uint64 { return 0 }})
+	e.SetWatchdog(Watchdog{})
+	var tick func(mem.Cycle)
+	tick = func(mem.Cycle) { after(e, 1, tick) }
+	after(e, 1, tick)
 	for i := 0; i < 1000; i++ {
 		e.Step()
 	}
@@ -97,8 +98,8 @@ func TestWatchdogDisarm(t *testing.T) {
 func TestFailStopsEngine(t *testing.T) {
 	e := New()
 	ran := false
-	e.At(10, func() { e.Fail(fmt.Errorf("auditor: invariant violated")) })
-	e.At(20, func() { ran = true })
+	at(e, 10, func(mem.Cycle) { e.Fail(fmt.Errorf("auditor: invariant violated")) })
+	at(e, 20, func(mem.Cycle) { ran = true })
 	e.RunUntil(1000)
 	if ran {
 		t.Fatal("event after failure executed")
@@ -140,14 +141,14 @@ func benchmarkStep(b *testing.B, watchdog bool) {
 	e := New()
 	n := uint64(0)
 	if watchdog {
-		e.SetWatchdog(1<<20, func() uint64 { return n }, nil)
+		e.SetWatchdog(Watchdog{Events: 1 << 20, Stall: true, Progress: func() uint64 { return n }})
 	}
-	var tick func()
-	tick = func() {
+	var tick func(mem.Cycle)
+	tick = func(mem.Cycle) {
 		n++
-		e.After(1, tick)
+		after(e, 1, tick)
 	}
-	e.After(1, tick)
+	after(e, 1, tick)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Step()
